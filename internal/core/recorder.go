@@ -369,9 +369,13 @@ type Recorder struct {
 	orderer Orderer
 	snoop   *SnoopTable
 
+	// traq is in program order (ascending seq, fillers included), so
+	// entry finds a memory access's slot by binary search.
 	traq    []*traqEntry
-	bySeq   map[uint64]*traqEntry
 	pending []uint64 // seqs of uncommitted non-memory dispatches
+	// spare is the second buffer Squash rebuilds pending into; the two
+	// swap roles, so restoring NMI seqs allocates nothing.
+	spare []uint64
 	// freeEntries recycles counted/squashed TRAQ entries (and their
 	// nmiSeqs backing arrays): the per-dispatch allocation was a top
 	// contributor on the record path's heap profile.
@@ -424,7 +428,6 @@ func NewRecorder(core int, cfg Config, orderer Orderer) (*Recorder, error) {
 		core:       core,
 		cfg:        cfg,
 		orderer:    orderer,
-		bySeq:      make(map[uint64]*traqEntry),
 		tel:        newRecTelem(cfg.Telemetry),
 		prov:       cfg.Provenance.Core(core),
 		remoteFrom: -1,
@@ -446,6 +449,7 @@ func (r *Recorder) Occupancy() int { return len(r.traq) }
 // non-memory instructions accumulate toward the next entry's NMI
 // field, spilling filler entries when they exceed the field's capacity
 // (paper §4.1).
+//
 //rrlint:hotpath
 func (r *Recorder) DispatchInstr(seq uint64, ins isa.Instr) bool {
 	if !ins.IsMem() {
@@ -470,10 +474,8 @@ func (r *Recorder) DispatchInstr(seq uint64, ins isa.Instr) bool {
 	case ins.Op == isa.ST:
 		kind = kindStore
 	}
-	e := r.takeEntry(seq, kind, r.pending)
-	r.push(e)
+	r.push(r.takeEntry(seq, kind, r.pending))
 	r.pending = r.pending[:0]
-	r.bySeq[seq] = e
 	r.Stats.Dispatched++
 	return true
 }
@@ -498,8 +500,7 @@ func (r *Recorder) takeEntry(seq uint64, kind entryKind, nmiSeqs []uint64) *traq
 	return e
 }
 
-// freeEntry recycles a TRAQ entry that has left both the queue and the
-// bySeq index.
+// freeEntry recycles a TRAQ entry that has left the queue.
 //
 //rrlint:hotpath
 func (r *Recorder) freeEntry(e *traqEntry) {
@@ -525,10 +526,11 @@ func (r *Recorder) push(e *traqEntry) {
 //rrlint:hotpath
 //rrlint:shardphase
 func (r *Recorder) Perform(seq uint64, addr uint64, isRead, isWrite bool, value, storedVal uint64, didWrite bool) {
-	e := r.bySeq[seq]
-	if e == nil {
+	i := r.entry(seq)
+	if i < 0 {
 		return // squashed wrong-path access
 	}
+	e := r.traq[i]
 	line := addr >> 5
 	e.performed = true
 	e.pisn = r.cisn
@@ -547,10 +549,7 @@ func (r *Recorder) Perform(seq uint64, addr uint64, isRead, isWrite bool, value,
 		// Pin older uncounted same-address entries: their perform
 		// events may not move past this interval (where this store,
 		// if logged reordered, will be patched to).
-		for _, o := range r.traq {
-			if o.seq >= seq {
-				break
-			}
+		for _, o := range r.traq[:i] {
 			if o.kind != kindFiller && o.performed && o.addr == addr && !o.pinned {
 				// Keep the EARLIEST pinning store's interval: any
 				// later pinning store patches no earlier than it.
@@ -560,6 +559,29 @@ func (r *Recorder) Perform(seq uint64, addr uint64, isRead, isWrite bool, value,
 		}
 	}
 	r.orderer.NotePerform(line, isRead, isWrite)
+}
+
+// entry returns the TRAQ index of the memory access seq, or -1 when
+// that access was squashed or has already been counted. Filler entries
+// share the seq space (each carries the seq of its last non-memory
+// instruction) and keep the TRAQ sorted, but never match an access.
+//
+//rrlint:hotpath
+func (r *Recorder) entry(seq uint64) int {
+	// Open-coded binary search, like cpu.Core's seq lookup.
+	lo, hi := 0, len(r.traq)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.traq[mid].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(r.traq) && r.traq[lo].seq == seq && r.traq[lo].kind != kindFiller {
+		return lo
+	}
+	return -1
 }
 
 // RetireInstr implements cpu.Hooks.RetireInstr. Retirement is in
@@ -584,30 +606,29 @@ func (r *Recorder) Squash(fromSeq uint64) {
 	for len(r.pending) > 0 && r.pending[len(r.pending)-1] >= fromSeq {
 		r.pending = r.pending[:len(r.pending)-1]
 	}
-	var restored []uint64
-	for len(r.traq) > 0 {
-		last := r.traq[len(r.traq)-1]
-		if last.seq < fromSeq {
-			break
-		}
-		// Surviving non-memory instructions folded into this entry's
-		// NMI field go back to the pending list.
-		var keep []uint64
-		for _, s := range last.nmiSeqs {
+	cut := len(r.traq)
+	for cut > 0 && r.traq[cut-1].seq >= fromSeq {
+		cut--
+	}
+	// Surviving non-memory instructions folded into a squashed entry's
+	// NMI field go back to the pending list, ahead of the pending ones.
+	restored := r.spare[:0]
+	for i, e := range r.traq[cut:] {
+		for _, s := range e.nmiSeqs {
 			if s < fromSeq {
-				keep = append(keep, s)
+				restored = append(restored, s)
 			}
 		}
-		restored = append(keep, restored...)
-		delete(r.bySeq, last.seq)
-		r.traq[len(r.traq)-1] = nil
-		r.traq = r.traq[:len(r.traq)-1]
+		r.traq[cut+i] = nil
 		r.Stats.SquashedEntries++
-		r.freeEntry(last)
+		r.freeEntry(e)
 	}
+	r.traq = r.traq[:cut]
 	if len(restored) > 0 {
-		r.pending = append(restored, r.pending...)
+		restored = append(restored, r.pending...)
+		r.pending, restored = restored, r.pending
 	}
+	r.spare = restored[:0]
 	// If the restore overflowed the NMI capacity, re-spill into filler
 	// entries (space exists: the squash just freed TRAQ slots).
 	for len(r.pending) > r.cfg.NMICap {
@@ -806,7 +827,6 @@ func (r *Recorder) Tick(cycle uint64) {
 		}
 		r.count(e, cycle)
 		pop++
-		delete(r.bySeq, e.seq)
 		r.freeEntry(e)
 	}
 	if pop > 0 {

@@ -27,17 +27,22 @@ type Core struct {
 	archRegs [isa.NumRegs]uint64
 	regOwner [isa.NumRegs]*uop
 
+	// rob and lsq are windows that advance through robBuf and lsqBuf
+	// (see pushWindow), so neither queue reallocates as it turns over.
+	// Together with wb they hold every live uop in ascending seq order,
+	// which lookup relies on.
 	rob       []*uop
 	lsq       []*uop // memory ops and fences, program order
-	wb        []wbEntry
+	wb        []*uop // retired stores awaiting their perform, program order
 	readyALU  []*uop
 	executing []*uop
-	bySeq     map[uint64]*uop
+	robBuf    []*uop
+	lsqBuf    []*uop
 
 	// execScratch is the spare buffer completeExecuting swaps with
 	// executing each cycle, so the per-cycle rebuild allocates nothing.
 	execScratch []*uop
-	// freeUops recycles retired (never squashed) uops; see allocUop.
+	// freeUops recycles retired and squashed uops; see allocUop.
 	freeUops []*uop
 	// work counts state changes; see WorkCount.
 	work uint64
@@ -63,10 +68,12 @@ func New(id int, cfg Config, prog isa.Program, mem MemPort, hooks Hooks) *Core {
 		mem:       mem,
 		hooks:     hooks,
 		haltSeq:   -1,
-		bySeq:     make(map[uint64]*uop),
+		robBuf:    make([]*uop, 2*cfg.ROBSize),
+		lsqBuf:    make([]*uop, 2*cfg.LSQSize),
 		predictor: make([]uint8, 1<<cfg.PredictorBits),
 		tel:       newCoreTelem(cfg.Telemetry),
 	}
+	c.rob, c.lsq = c.robBuf[:0], c.lsqBuf[:0]
 	for i := range c.predictor {
 		c.predictor[i] = 2 // weakly taken
 	}
@@ -107,11 +114,11 @@ func (c *Core) ID() int { return c.id }
 //
 //rrlint:shardphase
 func (c *Core) HandlePerform(ev coherence.PerformEvent) {
-	u := c.bySeq[ev.ID]
+	u := c.lookup(ev.ID)
 	if u == nil {
 		return // squashed wrong-path access
 	}
-	c.markPerformed(u, ev.Cycle)
+	c.markPerformed(u)
 }
 
 // HandleCompletion delivers the pipeline notification for a load, RMW
@@ -119,7 +126,7 @@ func (c *Core) HandlePerform(ev coherence.PerformEvent) {
 //
 //rrlint:shardphase
 func (c *Core) HandleCompletion(ev coherence.Completion) {
-	u := c.bySeq[ev.ID]
+	u := c.lookup(ev.ID)
 	if u == nil || u.state == uopDone {
 		return // squashed, or a store (already finished via perform)
 	}
@@ -129,17 +136,55 @@ func (c *Core) HandleCompletion(ev coherence.Completion) {
 	c.finish(u, ev.Value)
 }
 
+// lookup returns the live uop with sequence number seq, or nil when
+// seq was squashed or has already left the core. The live uops are
+// exactly the write buffer (retired stores awaiting their perform)
+// followed by the ROB, each in ascending seq order and every store in
+// the write buffer older than the ROB head, so a binary search finds
+// the uop. Sequence numbers are never reused, so a squashed seq can
+// never match a recycled uop.
+//
+//rrlint:hotpath
+func (c *Core) lookup(seq uint64) *uop {
+	q := c.wb
+	if len(c.rob) > 0 && seq >= c.rob[0].seq {
+		q = c.rob
+	}
+	if i := searchSeq(q, seq); i < len(q) && q[i].seq == seq {
+		return q[i]
+	}
+	return nil
+}
+
+// searchSeq returns the index of the first uop of q, which is in
+// ascending seq order, whose seq is at least seq. Open-coded:
+// sort.Search's closure would allocate its environment on these
+// per-instruction paths.
+//
+//rrlint:hotpath
+func searchSeq(q []*uop, seq uint64) int {
+	lo, hi := 0, len(q)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if q[mid].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // markPerformed records the perform event and whether it was out of
 // program order (an older memory op still pending), for Figure 1.
 //
 //rrlint:hotpath
-func (c *Core) markPerformed(u *uop, cycle uint64) {
+func (c *Core) markPerformed(u *uop) {
 	if u.performed {
 		return
 	}
 	c.work++
 	u.performed = true
-	u.performCycle = cycle
 	u.oooPerform = c.olderMemPending(u.seq)
 	// Stores perform after retirement (from the write buffer), so
 	// their Figure 1 accounting happens here; loads are counted when
@@ -152,8 +197,8 @@ func (c *Core) markPerformed(u *uop, cycle uint64) {
 // olderMemPending reports whether any memory op older than seq has not
 // performed yet.
 func (c *Core) olderMemPending(seq uint64) bool {
-	for _, e := range c.wb {
-		if e.u.seq < seq && !e.u.performed {
+	for _, w := range c.wb {
+		if w.seq < seq && !w.performed {
 			return true
 		}
 	}
@@ -176,10 +221,7 @@ func (c *Core) finish(u *uop, val uint64) {
 	c.work++
 	u.val = val
 	u.state = uopDone
-	for _, w := range u.waiters {
-		if w.squashed {
-			continue
-		}
+	for _, w := range u.waiters { // never squashed: see squashAfter
 		for i := range w.srcOwner {
 			if w.srcOwner[i] == u {
 				w.srcOwner[i] = nil
@@ -208,17 +250,7 @@ func (c *Core) wantsALUQueue(u *uop) bool {
 func (c *Core) pushReady(u *uop) {
 	c.work++
 	u.state = uopReady
-	// Open-coded binary search: sort.Search's closure would allocate
-	// its environment on this per-wakeup path.
-	lo, hi := 0, len(c.readyALU)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.readyALU[mid].seq > u.seq {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
+	lo := searchSeq(c.readyALU, u.seq+1)
 	c.readyALU = append(c.readyALU, nil)
 	copy(c.readyALU[lo+1:], c.readyALU[lo:])
 	c.readyALU[lo] = u
@@ -304,43 +336,43 @@ func (c *Core) mispredict(u *uop, taken bool) {
 	c.fetchStallUntil = c.cycle + c.cfg.MispredictPenalty
 }
 
-// squashAfter removes every uop with seq > after from the pipeline.
+// squashAfter removes every uop with seq > after from the pipeline and
+// recycles it: a squashed uop goes to freeUops and is unlinked from
+// every queue and from the waiter list of every surviving producer
+// before dispatch can reuse it. It keeps its squashed flag until
+// allocUop reuses it, because the snapshot completeExecuting walks may
+// still hold it.
 func (c *Core) squashAfter(after uint64) {
 	c.work++
 	cut := len(c.rob)
 	for cut > 0 && c.rob[cut-1].seq > after {
-		u := c.rob[cut-1]
-		u.squashed = true
-		delete(c.bySeq, u.seq)
+		cut--
+		c.rob[cut].squashed = true
 		c.Stats.SquashedUops++
 		c.tel.squashed.Inc(c.id)
-		cut--
 	}
 	if cut == len(c.rob) {
 		return
 	}
+	c.freeUops = append(c.freeUops, c.rob[cut:]...)
 	c.rob = c.rob[:cut]
 
-	keepUops := func(s []*uop) []*uop {
-		out := s[:0]
-		for _, u := range s {
-			if !u.squashed {
-				out = append(out, u)
-			}
-		}
-		return out
-	}
-	c.lsq = keepUops(c.lsq)
-	c.readyALU = keepUops(c.readyALU)
-	c.executing = keepUops(c.executing)
+	c.lsq = liveUops(c.lsq)
+	c.readyALU = liveUops(c.readyALU)
+	c.executing = liveUops(c.executing)
 
-	// Rebuild the rename table from the surviving ROB.
+	// Rebuild the rename table from the surviving ROB, and drop the
+	// squashed consumers from the survivors' waiter lists (only a
+	// producer still in flight has a non-empty list).
 	for r := range c.regOwner {
 		c.regOwner[r] = nil
 	}
 	for _, u := range c.rob {
 		if u.ins.WritesReg() {
 			c.regOwner[u.ins.Rd] = u
+		}
+		if len(u.waiters) > 0 {
+			u.waiters = liveUops(u.waiters)
 		}
 	}
 	if c.haltSeq > int64(after) {
@@ -349,6 +381,17 @@ func (c *Core) squashAfter(after uint64) {
 	if c.hooks.Squash != nil {
 		c.hooks.Squash(after + 1)
 	}
+}
+
+// liveUops filters the squashed uops out of s in place.
+func liveUops(s []*uop) []*uop {
+	out := s[:0]
+	for _, u := range s {
+		if !u.squashed {
+			out = append(out, u)
+		}
+	}
+	return out
 }
 
 func (c *Core) predictorIdx(pc int) int { return pc & (len(c.predictor) - 1) }
@@ -380,8 +423,9 @@ func (c *Core) retire() {
 				c.tel.stallWB.Inc(c.id)
 				return
 			}
-			c.wb = append(c.wb, wbEntry{u: u})
-			// Stays in bySeq until the write buffer drains it.
+			c.wb = append(c.wb, u)
+			// Stays live (lookup finds it in wb) until drainWB sweeps
+			// it out after its perform event.
 		case u.ins.IsMem(): // loads, atomics
 			if u.state != uopDone || !u.performed {
 				return
@@ -397,7 +441,6 @@ func (c *Core) retire() {
 			c.tel.retired.Inc(c.id)
 			c.nonMemSinceMemRetire++
 			c.rob = c.rob[1:]
-			delete(c.bySeq, u.seq)
 			if c.hooks.RetireInstr != nil {
 				c.hooks.RetireInstr(u.seq, false)
 			}
@@ -422,9 +465,6 @@ func (c *Core) retire() {
 		c.rob = c.rob[1:]
 		if len(c.lsq) > 0 && c.lsq[0] == u {
 			c.lsq = c.lsq[1:]
-		}
-		if u.ins.Op != isa.ST {
-			delete(c.bySeq, u.seq)
 		}
 
 		c.Stats.Retired++
@@ -465,8 +505,8 @@ func (c *Core) retire() {
 // performed. The fence is at the ROB head, so all older loads/atomics
 // have retired (hence performed); only write buffer entries remain.
 func (c *Core) fenceDone(u *uop) bool {
-	for _, e := range c.wb {
-		if e.u.seq < u.seq && !e.u.performed {
+	for _, w := range c.wb {
+		if w.seq < u.seq && !w.performed {
 			return false
 		}
 	}
@@ -598,7 +638,7 @@ func (c *Core) tryIssueLoad(u *uop, storeAddrUnknown bool, budget *int) {
 		c.Stats.Forwards++
 		c.tel.forwards.Inc(c.id)
 		u.forwarded = true
-		c.markPerformed(u, c.cycle)
+		c.markPerformed(u)
 		u.state = uopIssued
 		u.doneAt = c.cycle + 1
 		u.val = val
@@ -622,8 +662,8 @@ func (c *Core) tryIssueLoad(u *uop, storeAddrUnknown bool, budget *int) {
 // lsqFenceDone reports whether a fence still inside the LSQ has all
 // older memory operations performed (including unretired ones).
 func (c *Core) lsqFenceDone(f *uop) bool {
-	for _, e := range c.wb {
-		if e.u.seq < f.seq && !e.u.performed {
+	for _, w := range c.wb {
+		if w.seq < f.seq && !w.performed {
 			return false
 		}
 	}
@@ -667,9 +707,9 @@ func (c *Core) forwardSource(ld *uop) (val uint64, found, blocked bool) {
 	}
 	// Write buffer, youngest first.
 	for i := len(c.wb) - 1; i >= 0; i-- {
-		e := c.wb[i]
-		if e.u.seq < ld.seq && e.u.addr == ld.addr {
-			return e.u.val, true, false
+		w := c.wb[i]
+		if w.seq < ld.seq && w.addr == ld.addr {
+			return w.val, true, false
 		}
 	}
 	return 0, false, false
@@ -681,26 +721,23 @@ func (c *Core) forwardSource(ld *uop) (val uint64, found, blocked bool) {
 func (c *Core) drainWB(budget *int) {
 	// Sweep out stores whose perform event arrived.
 	kept := c.wb[:0]
-	for _, e := range c.wb {
-		if e.u.performed {
+	for _, u := range c.wb {
+		if u.performed {
 			c.work++
-			delete(c.bySeq, e.u.seq)
-			c.freeUop(e.u)
+			c.freeUop(u)
 			continue
 		}
-		kept = append(kept, e)
+		kept = append(kept, u)
 	}
 	c.wb = kept
 
-	for i := range c.wb {
-		e := &c.wb[i]
+	for i, u := range c.wb {
 		if *budget == 0 {
 			return
 		}
-		if e.issued {
+		if u.wbIssued {
 			continue
 		}
-		u := e.u
 		if c.cfg.Model != RC && i != 0 {
 			// TSO/SC: the store buffer drains strictly FIFO, one
 			// outstanding store at a time.
@@ -719,7 +756,7 @@ func (c *Core) drainWB(budget *int) {
 		// Same-address stores perform in program order.
 		blocked := false
 		for j := 0; j < i; j++ {
-			if c.wb[j].u.addr == u.addr && !c.wb[j].u.performed {
+			if c.wb[j].addr == u.addr && !c.wb[j].performed {
 				blocked = true
 				break
 			}
@@ -733,7 +770,7 @@ func (c *Core) drainWB(budget *int) {
 			return
 		}
 		c.work++
-		e.issued = true
+		u.wbIssued = true
 		c.tel.issuedMem.Inc(c.id)
 		*budget--
 	}
@@ -750,9 +787,6 @@ func (c *Core) issueALU() {
 		u := c.readyALU[pop]
 		pop++
 		c.work++
-		if u.squashed {
-			continue
-		}
 		lat := c.cfg.ALULat
 		if u.ins.Op == isa.MUL {
 			lat = c.cfg.MulLat
@@ -804,8 +838,7 @@ func (c *Core) dispatch() {
 		if ins.WritesReg() {
 			c.regOwner[ins.Rd] = u
 		}
-		c.rob = append(c.rob, u)
-		c.bySeq[seq] = u
+		c.rob = pushWindow(c.rob, c.robBuf, u)
 
 		switch {
 		case ins.Op == isa.NOP:
@@ -829,7 +862,7 @@ func (c *Core) dispatch() {
 				c.pushReady(u)
 			}
 		case ins.IsMem() || ins.Op == isa.FENCE:
-			c.lsq = append(c.lsq, u)
+			c.lsq = pushWindow(c.lsq, c.lsqBuf, u)
 			if ins.Op == isa.LD && u.pendingSrc == 0 {
 				u.addr = isa.EffAddr(ins, u.srcVal[0])
 				u.addrKnown = true
@@ -882,9 +915,26 @@ func (c *Core) captureSource(u *uop, idx int, r isa.Reg) {
 	}
 }
 
-// allocUop returns a fresh uop, reusing a retired one when possible:
-// the per-instruction heap allocation was the record path's largest
-// contributor. The recycled uop's waiter slice keeps its backing array.
+// pushWindow appends u to q, a FIFO window over buf that retirement
+// advances by re-slicing its front. When the window reaches buf's end
+// it slides back to the start, so the queue never reallocates. buf
+// holds twice the queue's capacity, so a slide happens at most once
+// per capacity's worth of pops and moves at most that many pointers.
+//
+//rrlint:hotpath
+func pushWindow(q, buf []*uop, u *uop) []*uop {
+	if len(q) == cap(q) && len(q) < len(buf) {
+		q = buf[:copy(buf, q)]
+	}
+	return append(q, u)
+}
+
+// allocUop returns a fresh uop, reusing a retired or squashed one when
+// possible: the per-instruction heap allocation was the record path's
+// largest contributor. The recycled uop's waiter slice keeps its
+// backing array. Resetting the uop clears squashed, which is why
+// squashAfter can hand over uops a completeExecuting snapshot still
+// holds: allocUop runs only in dispatch, after that walk.
 func (c *Core) allocUop(seq uint64, pc int, ins isa.Instr) *uop {
 	n := len(c.freeUops)
 	if n == 0 {
@@ -893,23 +943,21 @@ func (c *Core) allocUop(seq uint64, pc int, ins isa.Instr) *uop {
 	u := c.freeUops[n-1]
 	c.freeUops[n-1] = nil
 	c.freeUops = c.freeUops[:n-1]
+	// Clear in place, then set: assigning a composite literal would
+	// build it on the stack and copy it in.
 	w := u.waiters
-	*u = uop{seq: seq, pc: pc, ins: ins}
-	u.waiters = w[:0]
+	*u = uop{}
+	u.seq, u.pc, u.ins, u.waiters = seq, pc, ins, w[:0]
 	return u
 }
 
 // freeUop recycles a committed uop. Callers guarantee no live
-// reference remains: not in any queue, not in bySeq, not a register
-// owner, waiter list already drained by finish. Squashed uops are
-// never recycled — wrong-path uops can linger in the waiter lists of
-// their still-executing source owners.
+// reference remains: not in any queue, not a register owner, waiter
+// list already drained by finish. Squashed uops are recycled by
+// squashAfter, which unlinks them first.
 //
 //rrlint:hotpath
 func (c *Core) freeUop(u *uop) {
-	if u.squashed {
-		return
-	}
 	c.freeUops = append(c.freeUops, u)
 }
 

@@ -443,3 +443,131 @@ func TestCASAtHead(t *testing.T) {
 		t.Fatalf("failed CAS wrote: %d", mem.words[0x100])
 	}
 }
+
+// TestSquashRecyclingUnlinksWaiters runs wrong-path consumers of a
+// long-latency load: each mispredict squashes uops sitting in the
+// load's waiter list, and the correct path reuses them while the load
+// is still in flight. After every cycle the waiter lists must name only
+// live consumers (see checkWaiters), and the final registers must match
+// the sequential result.
+func TestSquashRecyclingUnlinksWaiters(t *testing.T) {
+	const n = 24
+	b := isa.NewBuilder("recycle")
+	b.Li(isa.R(10), 0x100)
+	b.Li(isa.R(3), 0)
+	b.Li(isa.R(4), n)
+	b.Li(isa.R(5), 0)
+	b.Label("loop")
+	b.Ld(isa.R(7), isa.R(10), 0)
+	b.Andi(isa.R(6), isa.R(3), 1)
+	b.Beq(isa.R(6), isa.R(0), "even") // alternates: the predictor keeps missing
+	b.Add(isa.R(8), isa.R(7), isa.R(3))
+	b.Add(isa.R(5), isa.R(5), isa.R(8))
+	b.Jmp("next")
+	b.Label("even")
+	b.Add(isa.R(8), isa.R(7), isa.R(7))
+	b.Xor(isa.R(5), isa.R(5), isa.R(8))
+	b.Label("next")
+	b.Addi(isa.R(3), isa.R(3), 1)
+	b.Addi(isa.R(10), isa.R(10), 8)
+	b.Bne(isa.R(3), isa.R(4), "loop")
+	b.Halt()
+
+	mem := newMagicMem(60)
+	var want uint64
+	for i := uint64(0); i < n; i++ {
+		v := 7*i + 1
+		mem.words[0x100+8*i] = v
+		if i&1 == 0 {
+			want ^= v + v
+		} else {
+			want += v + i
+		}
+	}
+	c := New(0, DefaultConfig(), b.MustBuild(), mem, Hooks{})
+
+	// A waiter seen under an in-flight load counts as reused when, with
+	// that load still in flight, the same uop carries a new sequence
+	// number: it was squashed, recycled and dispatched again.
+	type ref struct {
+		w, ld       *uop
+		wSeq, ldSeq uint64
+	}
+	var refs []ref
+	watched := map[*uop]bool{}
+	reused := 0
+	for i := 0; i < 100000 && !c.Quiesced(); i++ {
+		for _, u := range c.rob {
+			if u.ins.Op != isa.LD || u.state != uopIssued {
+				continue
+			}
+			for _, w := range u.waiters {
+				if !watched[w] {
+					watched[w] = true
+					refs = append(refs, ref{w: w, ld: u, wSeq: w.seq, ldSeq: u.seq})
+				}
+			}
+		}
+		mem.tick(c)
+		checkWaiters(t, c)
+		kept := refs[:0]
+		for _, r := range refs {
+			inFlight := r.ld.seq == r.ldSeq && r.ld.state == uopIssued
+			if inFlight && r.w.seq != r.wSeq && !r.w.squashed {
+				reused++
+				inFlight = false
+			}
+			if inFlight {
+				kept = append(kept, r)
+			} else {
+				delete(watched, r.w)
+			}
+		}
+		refs = kept
+	}
+	if !c.Quiesced() {
+		t.Fatalf("core never quiesced: %v", c)
+	}
+	if c.Stats.Mispredicts == 0 || reused == 0 {
+		t.Fatalf("scenario not exercised: %d mispredicts, %d waiters reused under an in-flight load",
+			c.Stats.Mispredicts, reused)
+	}
+	if got := c.ArchRegs(); got[5] != want || got[3] != n {
+		t.Fatalf("r5 = %d, r3 = %d; want %d, %d", got[5], got[3], want, n)
+	}
+}
+
+// checkWaiters asserts the invariant squash recycling depends on: every
+// waiters entry of a live uop is itself in the ROB, not squashed, and
+// appears exactly as often as it names the producer among its sources
+// (an instruction reading one register twice subscribes twice).
+func checkWaiters(t *testing.T, c *Core) {
+	t.Helper()
+	inROB := make(map[*uop]bool, len(c.rob))
+	for _, u := range c.rob {
+		inROB[u] = true
+	}
+	for _, u := range append(append([]*uop(nil), c.rob...), c.wb...) {
+		for _, w := range u.waiters {
+			if !inROB[w] || w.squashed {
+				t.Fatalf("cycle %d: seq %d lists waiter seq %d that is not live (squashed=%v)",
+					c.cycle, u.seq, w.seq, w.squashed)
+			}
+			subs, srcs := 0, 0
+			for _, x := range u.waiters {
+				if x == w {
+					subs++
+				}
+			}
+			for _, o := range w.srcOwner {
+				if o == u {
+					srcs++
+				}
+			}
+			if subs != srcs {
+				t.Fatalf("cycle %d: seq %d lists waiter seq %d %d times, which names it as a source %d times",
+					c.cycle, u.seq, w.seq, subs, srcs)
+			}
+		}
+	}
+}

@@ -230,22 +230,16 @@ type uop struct {
 	addr      uint64
 	addrKnown bool
 
-	performed    bool
-	performCycle uint64
-	oooPerform   bool // performed while an older mem op was pending
+	performed  bool
+	oooPerform bool // performed while an older mem op was pending
 
 	predictedTaken bool
 	squashed       bool
 	forwarded      bool
+	wbIssued       bool // store submitted to memory from the write buffer
 }
 
 func (u *uop) isMem() bool { return u.ins.IsMem() }
-
-// wbEntry is a retired store waiting in the write buffer.
-type wbEntry struct {
-	u      *uop
-	issued bool
-}
 
 // coreTelem holds the core's pre-resolved telemetry handles. The zero
 // value (all nil) is the disabled state: every call is a no-op.
