@@ -3,15 +3,17 @@ package relaxreplay
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/log_digests.golden from the current recordings")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current recordings")
 
 // digestFile pins the SHA-256 of the v2-encoded log of every case in
 // digestCases. A simulator or recorder change that alters one recorded
@@ -80,26 +82,74 @@ func TestGoldenLogDigests(t *testing.T) {
 		sum := sha256.Sum256(buf.Bytes())
 		fmt.Fprintf(&b, "%s %s\n", hex.EncodeToString(sum[:]), c.name)
 	}
-	got := b.String()
+	checkGolden(t, digestFile, b.String())
+}
+
+// replayFile pins Recording.Replay's outcome for every case in
+// digestCases: the intervals replayed, the modeled user and OS cycles
+// (paper Fig. 13's replay model) and the SHA-256 of the final memory.
+// A replayer change that alters any of them fails
+// TestGoldenReplayResults; the file is rewritten with -update.
+const replayFile = "testdata/replay_results.golden"
+
+func TestGoldenReplayResults(t *testing.T) {
+	var b strings.Builder
+	for _, c := range digestCases() {
+		rec, err := Record(c.cfg, c.w)
+		if err != nil {
+			t.Fatalf("%s: record: %v", c.name, err)
+		}
+		rep, err := rec.Replay()
+		if err != nil {
+			t.Fatalf("%s: replay: %v", c.name, err)
+		}
+		fmt.Fprintf(&b, "%s intervals=%d user=%d os=%d mem=%s\n", c.name, rep.Intervals,
+			rep.Timing.UserCycles, rep.Timing.OSCycles, memDigest(rep.FinalMemory))
+	}
+	checkGolden(t, replayFile, b.String())
+}
+
+// memDigest hashes a memory image as its (address, value) pairs in
+// address order, each as two little-endian words.
+func memDigest(mem map[uint64]uint64) string {
+	addrs := make([]uint64, 0, len(mem))
+	for a := range mem {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	h := sha256.New()
+	var w [16]byte
+	for _, a := range addrs {
+		binary.LittleEndian.PutUint64(w[:8], a)
+		binary.LittleEndian.PutUint64(w[8:], mem[a])
+		h.Write(w[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// checkGolden compares got line by line with the golden file, first
+// rewriting the file under -update.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(digestFile, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(digestFile)
+	want, err := os.ReadFile(file)
 	if err != nil {
-		t.Fatalf("read %s (run with -update to generate): %v", digestFile, err)
+		t.Fatalf("read %s (run with -update to generate): %v", file, err)
 	}
 	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d digests, %s holds %d", len(gotLines)-1, digestFile, len(wantLines)-1)
+		t.Fatalf("%d lines, %s holds %d", len(gotLines)-1, file, len(wantLines)-1)
 	}
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
-			t.Errorf("log digest changed:\n got  %s\n want %s", gotLines[i], wantLines[i])
+			t.Errorf("%s changed:\n got  %s\n want %s", file, gotLines[i], wantLines[i])
 		}
 	}
 }

@@ -308,7 +308,7 @@ func (c *Core) execute(u *uop) {
 	case ins.Op == isa.IN || u.forwarded:
 		c.finish(u, u.val) // value already bound
 	case ins.IsBranch():
-		taken := isa.BranchTaken(ins, u.srcVal[0], u.srcVal[1])
+		taken := isa.BranchTaken(&ins, u.srcVal[0], u.srcVal[1])
 		c.trainPredictor(u.pc, taken)
 		c.finish(u, 0)
 		if taken != u.predictedTaken {
@@ -321,7 +321,7 @@ func (c *Core) execute(u *uop) {
 		u.addrKnown = true
 		c.finish(u, u.srcVal[1]) // val holds the store data
 	default:
-		c.finish(u, isa.EvalALU(ins, u.srcVal[0], u.srcVal[1]))
+		c.finish(u, isa.EvalALU(&ins, u.srcVal[0], u.srcVal[1]))
 	}
 }
 

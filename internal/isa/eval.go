@@ -5,7 +5,7 @@ import "fmt"
 // EvalALU computes the result of a register-writing non-memory
 // instruction given its source operand values. For immediate forms s2
 // is ignored and the immediate is taken from the instruction.
-func EvalALU(ins Instr, s1, s2 uint64) uint64 {
+func EvalALU(ins *Instr, s1, s2 uint64) uint64 {
 	switch ins.Op {
 	case ADD:
 		return s1 + s2
@@ -53,12 +53,12 @@ func EvalALU(ins Instr, s1, s2 uint64) uint64 {
 	case LI:
 		return uint64(ins.Imm)
 	}
-	panic(fmt.Sprintf("isa: EvalALU on non-ALU instruction %v", ins))
+	panic(fmt.Sprintf("isa: EvalALU on non-ALU instruction %v", *ins))
 }
 
 // BranchTaken reports whether a conditional branch with source values
 // s1 and s2 is taken.
-func BranchTaken(ins Instr, s1, s2 uint64) bool {
+func BranchTaken(ins *Instr, s1, s2 uint64) bool {
 	switch ins.Op {
 	case BEQ:
 		return s1 == s2
@@ -69,7 +69,7 @@ func BranchTaken(ins Instr, s1, s2 uint64) bool {
 	case BGE:
 		return int64(s1) >= int64(s2)
 	}
-	panic(fmt.Sprintf("isa: BranchTaken on non-branch instruction %v", ins))
+	panic(fmt.Sprintf("isa: BranchTaken on non-branch instruction %v", *ins))
 }
 
 // EffAddr computes the effective address of a memory instruction.

@@ -1,6 +1,9 @@
 package isa
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -93,7 +96,7 @@ func TestEvalALU(t *testing.T) {
 		{Instr{Op: LI, Imm: -7}, 0, 0, uint64(0xFFFFFFFFFFFFFFF9)},
 	}
 	for _, c := range cases {
-		if got := EvalALU(c.ins, c.s1, c.s2); got != c.want {
+		if got := EvalALU(&c.ins, c.s1, c.s2); got != c.want {
 			t.Errorf("EvalALU(%v, %d, %d) = %d, want %d", c.ins, c.s1, c.s2, got, c.want)
 		}
 	}
@@ -105,7 +108,7 @@ func TestEvalALUPanicsOnNonALU(t *testing.T) {
 			t.Fatalf("expected panic")
 		}
 	}()
-	EvalALU(Instr{Op: LD}, 0, 0)
+	EvalALU(&Instr{Op: LD}, 0, 0)
 }
 
 func TestBranchTaken(t *testing.T) {
@@ -121,7 +124,7 @@ func TestBranchTaken(t *testing.T) {
 		{BGE, 0, neg, true}, {BGE, neg, 0, false}, {BGE, 3, 3, true},
 	}
 	for _, c := range cases {
-		if got := BranchTaken(Instr{Op: c.op}, c.s1, c.s2); got != c.want {
+		if got := BranchTaken(&Instr{Op: c.op}, c.s1, c.s2); got != c.want {
 			t.Errorf("BranchTaken(%v, %d, %d) = %v", c.op, c.s1, c.s2, got)
 		}
 	}
@@ -145,20 +148,20 @@ func TestAmoApply(t *testing.T) {
 // Property: ADD/XOR identities hold for arbitrary operands.
 func TestEvalALUProperties(t *testing.T) {
 	addComm := func(a, b uint64) bool {
-		return EvalALU(Instr{Op: ADD}, a, b) == EvalALU(Instr{Op: ADD}, b, a)
+		return EvalALU(&Instr{Op: ADD}, a, b) == EvalALU(&Instr{Op: ADD}, b, a)
 	}
 	if err := quick.Check(addComm, nil); err != nil {
 		t.Errorf("ADD not commutative: %v", err)
 	}
 	xorInv := func(a, b uint64) bool {
-		x := EvalALU(Instr{Op: XOR}, a, b)
-		return EvalALU(Instr{Op: XOR}, x, b) == a
+		x := EvalALU(&Instr{Op: XOR}, a, b)
+		return EvalALU(&Instr{Op: XOR}, x, b) == a
 	}
 	if err := quick.Check(xorInv, nil); err != nil {
 		t.Errorf("XOR not involutive: %v", err)
 	}
 	subAdd := func(a, b uint64) bool {
-		return EvalALU(Instr{Op: ADD}, EvalALU(Instr{Op: SUB}, a, b), b) == a
+		return EvalALU(&Instr{Op: ADD}, EvalALU(&Instr{Op: SUB}, a, b), b) == a
 	}
 	if err := quick.Check(subAdd, nil); err != nil {
 		t.Errorf("SUB/ADD not inverse: %v", err)
@@ -340,5 +343,121 @@ func TestFlatMemorySnapshot(t *testing.T) {
 	snap := m.Snapshot()
 	if len(snap) != 1 || snap[0x10] != 7 {
 		t.Errorf("snapshot = %v", snap)
+	}
+}
+
+func TestFlatMemoryZeroValue(t *testing.T) {
+	var m FlatMemory
+	if got := m.Load(8); got != 0 {
+		t.Errorf("empty Load = %d", got)
+	}
+	if snap := m.Snapshot(); len(snap) != 0 {
+		t.Errorf("empty snapshot = %v", snap)
+	}
+	m.Store(8, 1)
+	if got := m.Load(8); got != 1 {
+		t.Errorf("Load after Store = %d, want 1", got)
+	}
+	if snap := m.Snapshot(); len(snap) != 1 || snap[8] != 1 {
+		t.Errorf("snapshot = %v", snap)
+	}
+}
+
+// TestFlatMemoryMatchesWordMap drives the paged memory and a plain word
+// map with the same accesses: page boundaries, both ends of the address
+// space, loads of unmapped pages between hits on the cached page.
+func TestFlatMemoryMatchesWordMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bases := []uint64{0, 0x1f8, 0x200, 0x100000, 1 << 40, math.MaxUint64 - 0x3ff}
+	var m FlatMemory
+	ref := map[uint64]uint64{}
+	for i := 0; i < 20000; i++ {
+		addr := bases[rng.Intn(len(bases))] + uint64(rng.Intn(0x400))
+		if rng.Intn(3) == 0 {
+			v := rng.Uint64() % 4 // zeros too: they must vanish from Snapshot
+			m.Store(addr, v)
+			ref[addr&^(WordSize-1)] = v
+		} else if got, want := m.Load(addr), ref[addr&^(WordSize-1)]; got != want {
+			t.Fatalf("access %d: Load(%#x) = %d, want %d", i, addr, got, want)
+		}
+	}
+	snap := m.Snapshot()
+	for a, v := range ref {
+		if snap[a] != v {
+			t.Errorf("snapshot[%#x] = %d, want %d", a, snap[a], v)
+		}
+		if v == 0 {
+			delete(ref, a)
+		}
+	}
+	if len(snap) != len(ref) {
+		t.Errorf("snapshot holds %d words, want %d", len(snap), len(ref))
+	}
+}
+
+// TestStepNChunking runs one program to HALT in chunks of every size
+// and checks that the final state, and the retired counts StepN
+// returns, do not depend on the chunking.
+func TestStepNChunking(t *testing.T) {
+	b := NewBuilder("chunks")
+	b.In(R(7))
+	b.Li(R(1), 0).Li(R(2), 9).Li(R(10), 0x300)
+	b.Label("loop")
+	b.St(R(1), R(10), 0)
+	b.AmoAdd(R(3), R(1), R(10), 8, 0)
+	b.Ld(R(4), R(10), 8)
+	b.Addi(R(10), R(10), 16)
+	b.Addi(R(1), R(1), 1)
+	b.Bne(R(1), R(2), "loop")
+	b.Halt()
+	prog := b.MustBuild()
+
+	want := &Thread{Prog: prog, Inputs: []uint64{5}}
+	wantMem := NewFlatMemory()
+	if err := want.Run(wantMem, 1000); err != nil {
+		t.Fatal(err)
+	}
+	for chunk := uint64(1); chunk <= want.Instret+1; chunk++ {
+		th := &Thread{Prog: prog, Inputs: []uint64{5}}
+		mem := NewFlatMemory()
+		var total uint64
+		for !th.Halted {
+			before := th.Instret
+			n, err := th.StepN(mem, chunk)
+			if err != nil {
+				t.Fatalf("chunk %d: %v", chunk, err)
+			}
+			if n != th.Instret-before || (n < chunk && !th.Halted) {
+				t.Fatalf("chunk %d: StepN returned %d, Instret moved %d, halted %v", chunk, n, th.Instret-before, th.Halted)
+			}
+			total += n
+		}
+		if n, _ := th.StepN(mem, chunk); n != 0 {
+			t.Fatalf("chunk %d: halted thread retired %d", chunk, n)
+		}
+		if th.PC != want.PC || th.Regs != want.Regs || th.Instret != want.Instret || total != want.Instret {
+			t.Fatalf("chunk %d: pc %d regs %v instret %d, want pc %d regs %v instret %d",
+				chunk, th.PC, th.Regs[:11], th.Instret, want.PC, want.Regs[:11], want.Instret)
+		}
+		if !reflect.DeepEqual(mem.Snapshot(), wantMem.Snapshot()) {
+			t.Fatalf("chunk %d: memory differs", chunk)
+		}
+	}
+}
+
+// TestStepNStopsAtFailure checks that the failing instruction neither
+// retires nor changes the thread, and that the retired prefix does.
+func TestStepNStopsAtFailure(t *testing.T) {
+	b := NewBuilder("fail")
+	b.Li(R(1), 3).In(R(2)).Halt()
+	th := &Thread{Prog: b.MustBuild()}
+	n, err := th.StepN(NewFlatMemory(), 10)
+	if err != ErrOutOfInput || n != 1 || th.PC != 1 || th.Instret != 1 || th.Regs[1] != 3 || th.Halted {
+		t.Fatalf("StepN = %d, %v; pc %d instret %d r1 %d halted %v", n, err, th.PC, th.Instret, th.Regs[1], th.Halted)
+	}
+	th = &Thread{Prog: Program{Code: []Instr{{Op: JMP, Imm: 5}}}}
+	n, err = th.StepN(NewFlatMemory(), 10)
+	if err == nil || n != 1 || th.PC != 5 || th.Instret != 1 {
+		t.Fatalf("StepN = %d, %v; pc %d instret %d", n, err, th.PC, th.Instret)
 	}
 }

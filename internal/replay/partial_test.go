@@ -160,3 +160,45 @@ func TestStrictIncompleteIsTyped(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// A decoder keeps streams in file order, and a lost stream shifts the
+// rest, so the replayer matches streams to cores by their Core field;
+// a stream for a core the log does not have is rejected up front.
+func TestReplayMatchesStreamsByCore(t *testing.T) {
+	progs := []isa.Program{prog(), prog()}
+	mem := map[uint64]uint64{0x100: 42}
+	l := twoCoreLog()
+	l.Streams[0], l.Streams[1] = l.Streams[1], l.Streams[0]
+	r, err := New(DefaultConfig(), l, progs, mem, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Run()
+	var div *ErrDiverged
+	if !errors.As(err, &div) || div.Core != 1 || div.Interval != 0 {
+		t.Fatalf("reordered streams: err = %v, want core 1's block to diverge", err)
+	}
+
+	l = twoCoreLog()
+	l.Streams = l.Streams[1:] // core 0's stream lost
+	r, err = New(DefaultConfig(), l, progs, mem, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err = r.Run(); !errors.As(err, &div) || div.Core != 1 || div.Interval != 0 {
+		t.Fatalf("lost stream: err = %v, want core 1's block to diverge", err)
+	}
+
+	for _, core := range []int{2, -1} {
+		l = twoCoreLog()
+		l.Streams[1].Core = core
+		if _, err := New(DefaultConfig(), l, progs, mem, nil); err == nil {
+			t.Errorf("stream for core %d of 2 accepted", core)
+		}
+	}
+	l = twoCoreLog()
+	l.Streams[1].Core = 0
+	if _, err := New(DefaultConfig(), l, progs, mem, nil); err == nil {
+		t.Error("two streams for core 0 accepted")
+	}
+}

@@ -14,9 +14,10 @@
 package replay
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"relaxreplay/internal/isa"
 	"relaxreplay/internal/replaylog"
@@ -182,6 +183,13 @@ func New(cfg Config, log *replaylog.Log, progs []isa.Program, initMem map[uint64
 	if len(progs) != log.Cores {
 		return nil, fmt.Errorf("replay: %d programs for %d cores", len(progs), log.Cores)
 	}
+	seen := make([]bool, log.Cores)
+	for _, s := range log.Streams {
+		if s.Core < 0 || s.Core >= log.Cores || seen[s.Core] {
+			return nil, fmt.Errorf("replay: invalid log: stray or repeated stream for core %d of %d", s.Core, log.Cores)
+		}
+		seen[s.Core] = true
+	}
 	r := &Replayer{
 		cfg: cfg, log: log, progs: progs, mem: isa.NewFlatMemory(),
 		tel: newReplTelem(cfg.Telemetry, log.Cores),
@@ -208,9 +216,10 @@ func New(cfg Config, log *replaylog.Log, progs []isa.Program, initMem map[uint64
 
 // intervalRef orders intervals across cores.
 type intervalRef struct {
-	core int
-	idx  int
-	ts   uint64
+	stream int // index into Log.Streams
+	core   int
+	idx    int
+	ts     uint64
 }
 
 // errStall is the internal signal that the step budget ran out inside
@@ -238,20 +247,26 @@ func watchdogBudget(l *replaylog.Log) uint64 {
 // out. A degraded run still returns a Result — final state is then
 // only authoritative for the cores that completed.
 func (r *Replayer) Run() (*Result, error) {
-	var order []intervalRef
+	n := 0
 	for _, s := range r.log.Streams {
+		n += len(s.Intervals)
+	}
+	order := make([]intervalRef, 0, n)
+	for si, s := range r.log.Streams {
 		for i := range s.Intervals {
-			order = append(order, intervalRef{core: s.Core, idx: i, ts: s.Intervals[i].Timestamp})
+			order = append(order, intervalRef{stream: si, core: s.Core, idx: i, ts: s.Intervals[i].Timestamp})
 		}
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].ts != order[j].ts {
-			return order[i].ts < order[j].ts
+	// New admits one stream per core, so (ts, core, idx) is unique and
+	// an unstable sort gives the one order.
+	slices.SortFunc(order, func(a, b intervalRef) int {
+		if c := cmp.Compare(a.ts, b.ts); c != 0 {
+			return c
 		}
-		if order[i].core != order[j].core {
-			return order[i].core < order[j].core
+		if c := cmp.Compare(a.core, b.core); c != 0 {
+			return c
 		}
-		return order[i].idx < order[j].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 
 	r.steps = 0
@@ -265,10 +280,10 @@ func (r *Replayer) Run() (*Result, error) {
 	res := &Result{Intervals: len(order)}
 	var userCycles float64
 	for _, ref := range order {
-		if ref.core < len(abandoned) && abandoned[ref.core] {
+		if abandoned[ref.core] {
 			continue
 		}
-		iv := &r.log.Streams[ref.core].Intervals[ref.idx]
+		iv := &r.log.Streams[ref.stream].Intervals[ref.idx]
 		// The modeled replay clock (cumulative OS+user cycles) is the
 		// timeline the trace events are placed on.
 		start := res.Timing.OSCycles + uint64(userCycles)
@@ -286,9 +301,7 @@ func (r *Replayer) Run() (*Result, error) {
 			}
 			return nil, &ErrDiverged{Core: ref.core, Interval: ref.idx, Seq: iv.Seq, Cause: err}
 		}
-		if ref.core < len(done) {
-			done[ref.core]++
-		}
+		done[ref.core]++
 		r.tel.intervals.Inc(ref.core)
 		if tr := r.tel.tracer; tr != nil {
 			end := res.Timing.OSCycles + uint64(userCycles)
@@ -301,7 +314,7 @@ func (r *Replayer) Run() (*Result, error) {
 	res.Timing.UserCycles = uint64(userCycles)
 
 	for c, th := range r.threads {
-		if !th.Halted && !(c < len(abandoned) && abandoned[c]) {
+		if !th.Halted && !abandoned[c] {
 			cause := fmt.Errorf("did not reach HALT (pc=%d)", th.PC)
 			if !r.cfg.AllowPartial {
 				return nil, &ErrDiverged{Core: c, Interval: -1, Cause: cause}
@@ -352,19 +365,8 @@ func (r *Replayer) replayInterval(core int, iv *replaylog.Interval, res *Result,
 			*userCycles += float64(e.Size) * r.cpi[core] * r.cfg.UserCPIFactor
 			r.tel.blocks.Inc(core)
 			r.tel.instrs.Add(core, uint64(e.Size))
-			for i := uint32(0); i < e.Size; i++ {
-				if r.steps++; r.steps > r.budget {
-					return errStall
-				}
-				if th.Halted {
-					return mismatch(
-						fmt.Sprintf("%d more in-order instruction(s) in this block", e.Size-i),
-						"program already at HALT",
-						"block overruns HALT after %d of %d instructions", i, e.Size)
-				}
-				if err := th.Step(r.mem); err != nil {
-					return err
-				}
+			if err := r.runBlock(th, e.Size); err != nil {
+				return err
 			}
 		case replaylog.ReorderedLoad:
 			// Inject the recorded value into the destination register
@@ -412,6 +414,32 @@ func (r *Replayer) replayInterval(core int, iv *replaylog.Interval, res *Result,
 				fmt.Sprintf("%v entry", e.Type),
 				"unexpected entry type %v in patched log", e.Type)
 		}
+	}
+	return nil
+}
+
+// runBlock runs an InorderBlock of size instructions with one StepN
+// call capped at the remaining step budget. Accounting is per
+// instruction: each one executed is a step, and so is the step that
+// finds the budget spent, the thread already halted, or the
+// instruction failing, so a stall always reports budget+1 steps.
+func (r *Replayer) runBlock(th *isa.Thread, size uint32) error {
+	run := min(uint64(size), r.budget-r.steps)
+	n, err := th.StepN(r.mem, run)
+	r.steps += n
+	switch {
+	case err != nil:
+		r.steps++
+		return err
+	case n < run:
+		r.steps++
+		return mismatch(
+			fmt.Sprintf("%d more in-order instruction(s) in this block", uint64(size)-n),
+			"program already at HALT",
+			"block overruns HALT after %d of %d instructions", n, size)
+	case run < uint64(size):
+		r.steps++
+		return errStall
 	}
 	return nil
 }

@@ -241,6 +241,10 @@ func TestVerifyDetectsDivergence(t *testing.T) {
 	if err := Verify(rep, map[uint64]uint64{0x10: 1}, nil, nil); err == nil {
 		t.Fatal("core-count mismatch missed")
 	}
+	err := Verify(rep, map[uint64]uint64{0x10: 1}, regs, []uint64{3, 4})
+	if err == nil || !strings.Contains(err.Error(), "2 cores") || !strings.Contains(err.Error(), "has 1") {
+		t.Fatalf("retired counts for more cores than replayed: %v", err)
+	}
 }
 
 func TestReplayInputInjection(t *testing.T) {

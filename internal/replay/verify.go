@@ -10,7 +10,8 @@ import (
 // Verify checks that a replay reproduced the recorded execution: the
 // final memory image, every core's final register file, and every
 // core's retired instruction count must match exactly. This is the
-// determinism check the whole RnR system exists to provide.
+// determinism check the whole RnR system exists to provide. A nil
+// recRetired skips the retired-count check.
 func Verify(rep *Result, recMem map[uint64]uint64, recRegs [][isa.NumRegs]uint64, recRetired []uint64) error {
 	if len(rep.FinalRegs) != len(recRegs) {
 		return fmt.Errorf("replay: core count mismatch: %d vs %d", len(rep.FinalRegs), len(recRegs))
@@ -22,6 +23,9 @@ func Verify(rep *Result, recMem map[uint64]uint64, recRegs [][isa.NumRegs]uint64
 		}
 	}
 	if recRetired != nil {
+		if len(recRetired) != len(rep.Instret) {
+			return fmt.Errorf("replay: retired counts for %d cores, replay has %d", len(recRetired), len(rep.Instret))
+		}
 		for c := range recRetired {
 			if rep.Instret[c] != recRetired[c] {
 				return fmt.Errorf("replay: core %d replayed %d instructions, recorded %d",

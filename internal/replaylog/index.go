@@ -229,15 +229,7 @@ func (ix *IndexedLog) readGroupInterval(sp IndexSpan, seq uint64) (*Interval, bo
 	if br.short || int(core) != sp.Core || flags&^flagFlate != 0 {
 		return nil, false
 	}
-	body := br.data[br.pos:]
-	if flags&flagFlate != 0 {
-		out, ok := inflateBody(body)
-		if !ok {
-			return nil, false
-		}
-		body = out
-	}
-	ivs, reason := decodeGroupBody(body)
+	ivs, reason := decodeGroup(flags, br.data[br.pos:])
 	if reason != "" {
 		return nil, false
 	}

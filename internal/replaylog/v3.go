@@ -620,16 +620,7 @@ func decodeCoreGroups(core int, refs []groupRef) v3coreResult {
 	var lastSeq, lastTs uint64
 	have := false
 	for _, ref := range refs {
-		body := ref.body
-		if ref.flags&flagFlate != 0 {
-			out, ok := inflateBody(body)
-			if !ok {
-				res.drop(FrameError{Offset: ref.off, Type: FrameIvGroup, Core: core, Reason: "corrupt flate body"})
-				continue
-			}
-			body = out
-		}
-		ivs, reason := decodeGroupBody(body)
+		ivs, reason := decodeGroup(ref.flags, ref.body)
 		if reason != "" {
 			res.drop(FrameError{Offset: ref.off, Type: FrameIvGroup, Core: core, Reason: reason})
 			continue
@@ -650,17 +641,72 @@ func decodeCoreGroups(core int, refs []groupRef) v3coreResult {
 	return res
 }
 
-// inflateBody decompresses a flate group body, bounded by MaxFrameLen
-// so a decompression bomb cannot out-allocate the clamps.
-func inflateBody(src []byte) ([]byte, bool) {
-	fr := flate.NewReader(bytes.NewReader(src))
-	defer fr.Close()
-	var out bytes.Buffer
-	n, err := io.Copy(&out, io.LimitReader(fr, MaxFrameLen+1))
+// inflater is a reusable flate reader and output buffer for group
+// bodies. DecodeParallel's workers share the pool, so a decode pays
+// for the reader's window and tables once, not per group.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser // a flate.Resetter
+	lim io.LimitedReader
+	out bytes.Buffer
+}
+
+var inflaterPool sync.Pool
+
+// maxPooledInflate caps the output buffer an inflater takes back to
+// the pool: one grown past it by a large or hostile frame is dropped,
+// so the pool cannot pin up to MaxFrameLen per entry.
+const maxPooledInflate = 1 << 20
+
+// decodeGroup decodes one group body, inflating it first when flags
+// says so. A non-empty reason means the group is lost.
+func decodeGroup(flags byte, body []byte) ([]Interval, string) {
+	if flags&flagFlate == 0 {
+		return decodeGroupBody(body)
+	}
+	f, _ := inflaterPool.Get().(*inflater)
+	if f == nil {
+		f = &inflater{}
+	}
+	defer func() {
+		f.reset()
+		inflaterPool.Put(f)
+	}()
+	out, ok := f.inflate(body)
+	if !ok {
+		return nil, "corrupt flate body"
+	}
+	// decodeGroupBody copies every field out of out, so the buffer can
+	// go back to the pool.
+	return decodeGroupBody(out)
+}
+
+// inflate decompresses src into f's buffer, bounded by MaxFrameLen so
+// a decompression bomb cannot out-allocate the clamps. The result is
+// valid until the next reset.
+func (f *inflater) inflate(src []byte) ([]byte, bool) {
+	f.src.Reset(src)
+	if f.fr == nil {
+		f.fr = flate.NewReader(&f.src)
+	} else if err := f.fr.(flate.Resetter).Reset(&f.src, nil); err != nil {
+		return nil, false
+	}
+	f.lim = io.LimitedReader{R: f.fr, N: MaxFrameLen + 1}
+	f.out.Reset()
+	n, err := f.out.ReadFrom(&f.lim)
 	if err != nil || n > MaxFrameLen {
 		return nil, false
 	}
-	return out.Bytes(), true
+	return f.out.Bytes(), true
+}
+
+// reset readies f for the pool: it drops the caller's log bytes and
+// any output buffer grown past maxPooledInflate.
+func (f *inflater) reset() {
+	f.src.Reset(nil)
+	if f.out.Cap() > maxPooledInflate {
+		f.out = bytes.Buffer{}
+	}
 }
 
 // decodeGroupBody parses one decompressed group body into intervals.
@@ -712,6 +758,9 @@ func decodeGroupBody(body []byte) ([]Interval, string) {
 			return nil, "bad interval counts"
 		}
 		iv := Interval{Seq: seq, CISN: uint16(seq), Timestamp: ts}
+		if nent > 0 {
+			iv.Entries = make([]Entry, 0, nent)
+		}
 		for j := uint64(0); j < nent; j++ {
 			e, ok := br.entryV3(&prevAddr)
 			if !ok {

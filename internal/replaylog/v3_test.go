@@ -2,8 +2,10 @@ package replaylog
 
 import (
 	"bytes"
+	"compress/flate"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -236,6 +238,82 @@ func TestDecodeParallelMatchesRobust(t *testing.T) {
 		}
 		if !reflect.DeepEqual(repR, repP) {
 			t.Errorf("%s: reports differ:\nrobust:   %+v\nparallel: %+v", name, repR, repP)
+		}
+	}
+}
+
+// TestDecodeParallelSharedInflaters decodes a clean log and one with
+// corrupt flate bodies under intact CRCs from several goroutines at
+// once, each fanning its cores out over four workers that share the
+// inflater pool. Every result must equal the serial decode's.
+func TestDecodeParallelSharedInflaters(t *testing.T) {
+	clean := encodeV3Bytes(t, benchLog(4, 128), V3Options{GroupSize: 16})
+	bad := append([]byte(nil), clean...)
+	n := 0
+	for _, f := range scanFrames(t, bad) {
+		if f.typ == FrameIvGroup && bad[f.start+9]&flagFlate != 0 {
+			if n++; n%3 == 0 {
+				// Past sync, type, length, flags and a one-byte core:
+				// a final block of the reserved type 3.
+				bad[f.start+11] = 0x07
+				reframe(bad, f.start, f.end)
+			}
+		}
+	}
+	inputs := [][]byte{clean, bad}
+	var want []*Log
+	var wantRep []*CorruptionReport
+	for _, data := range inputs {
+		l, rep, err := decodeReader(bytes.NewReader(data), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantRep = append(want, l), append(wantRep, rep)
+	}
+	if wantRep[1].Dropped == 0 || wantRep[1].Frames[0].Reason != "corrupt flate body" {
+		t.Fatalf("damaged log decoded as %+v, want dropped flate groups", wantRep[1])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				for k, data := range inputs {
+					got, rep, err := decodeReader(bytes.NewReader(data), 4)
+					if err != nil || !reflect.DeepEqual(got, want[k]) || !reflect.DeepEqual(rep, wantRep[k]) {
+						t.Errorf("input %d: concurrent decode differs from serial (err %v)", k, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// An inflater whose output buffer grew past maxPooledInflate goes back
+// to the pool without it; a smaller buffer is kept for reuse.
+func TestInflaterDropsLargeBuffer(t *testing.T) {
+	for _, size := range []int{maxPooledInflate / 2, 2 * maxPooledInflate} {
+		var comp bytes.Buffer
+		fw, err := flate.NewWriter(&comp, flate.BestSpeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fw.Write(make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f := &inflater{}
+		if out, ok := f.inflate(comp.Bytes()); !ok || len(out) != size {
+			t.Fatalf("inflate %d bytes: got %d, ok %v", size, len(out), ok)
+		}
+		f.reset()
+		if kept := f.out.Cap() > 0; kept != (size <= maxPooledInflate) {
+			t.Errorf("%d-byte output: pooled buffer cap %d", size, f.out.Cap())
 		}
 	}
 }
