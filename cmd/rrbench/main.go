@@ -75,12 +75,9 @@ import (
 )
 
 // knownFigs lists the accepted -fig names in presentation order.
-// knownFigs lists the -fig names. "scaling" (the shard-scaling sweep
-// over 8..64-core machines) is deliberately excluded from "all": the
-// 64-core runs dwarf the paper figures.
 var knownFigs = []string{
 	"table1", "1", "9", "10", "11", "12", "13", "14",
-	"parallel", "overhead", "motivation", "models", "scaling",
+	"parallel", "overhead", "motivation", "models",
 }
 
 func main() {
@@ -96,7 +93,6 @@ func main() {
 	forensics := flag.String("forensics", "", "with -faults: write the chaos matrix's divergence forensics as JSON to this path")
 	netchaos := flag.Bool("netchaos", false, "with -faults: also run the streaming chaos grid (client policy x server behaviour x net.* fault)")
 	benchjsonPath := flag.String("benchjson", "", "run the pipeline benchmarks, write BENCH_*.json to this path, and exit")
-	shards := flag.Int("shards", 1, "goroutines sharding each recording's core phase (0/1 = serial; tables are byte-identical either way)")
 	var tf telemetry.Flags
 	tf.Register(nil)
 	flag.Parse()
@@ -122,7 +118,6 @@ func main() {
 	opts.Scale = *scale
 	opts.Verify = !*noverify
 	opts.Parallelism = *jobs
-	opts.Shards = *shards
 	if *apps != "" {
 		list, err := experiments.ParseApps(*apps)
 		if err != nil {
@@ -275,14 +270,6 @@ func main() {
 		_, t, err := s.ExtensionModelSweep()
 		return show2(t, err)
 	})
-	// Opt-in only, never part of -fig all: the 64-core cells are far
-	// heavier than any paper figure.
-	if want["scaling"] {
-		_, t, err := s.ExtensionShardScaling(nil, nil)
-		if err := show2(t, err); err != nil {
-			fatal(err)
-		}
-	}
 
 	if *faults != "" {
 		inj, err := faultinject.Parse(*faults)

@@ -50,7 +50,6 @@ func main() {
 	verify := flag.Bool("verify", false, "replay the log and verify determinism")
 	prov := flag.Bool("provenance", false, "capture per-interval provenance (termination causes, conflicts, reorder instants); persisted in -v3 logs, consumed by rrtrace and forensics")
 	faults := flag.String("faults", "", "inject faults: point[,point...]@seed, or default@seed")
-	shards := flag.Int("shards", 1, "goroutines sharding each cycle's core phase (0/1 = serial; output is byte-identical either way)")
 	list := flag.Bool("list", false, "list available workloads and exit")
 	flag.Parse()
 
@@ -68,7 +67,6 @@ func main() {
 
 	cfg := relaxreplay.DefaultConfig()
 	cfg.Cores = *cores
-	cfg.Shards = *shards
 	switch *variant {
 	case "opt":
 		cfg.Variant = relaxreplay.Opt

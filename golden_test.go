@@ -109,6 +109,28 @@ func TestGoldenReplayResults(t *testing.T) {
 	checkGolden(t, replayFile, b.String())
 }
 
+// statsFile pins each digestCases recording's cycle count and the
+// SHA-256 of its per-core pipeline statistics, per-core recorder
+// statistics and memory-system statistics. A run-loop or model change
+// that moves any counter fails TestGoldenRecordStats; the file is
+// rewritten with -update.
+const statsFile = "testdata/record_stats.golden"
+
+func TestGoldenRecordStats(t *testing.T) {
+	var b strings.Builder
+	for _, c := range digestCases() {
+		rec, err := Record(c.cfg, c.w)
+		if err != nil {
+			t.Fatalf("%s: record: %v", c.name, err)
+		}
+		res := rec.res
+		h := sha256.New()
+		fmt.Fprintf(h, "%v\n%v\n%v\n", res.CoreStats, res.RecStats, res.MemStats)
+		fmt.Fprintf(&b, "%s cycles=%d stats=%s\n", c.name, res.Cycles, hex.EncodeToString(h.Sum(nil)))
+	}
+	checkGolden(t, statsFile, b.String())
+}
+
 // memDigest hashes a memory image as its (address, value) pairs in
 // address order, each as two little-endian words.
 func memDigest(mem map[uint64]uint64) string {

@@ -9,7 +9,6 @@ package benchjson
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -46,10 +45,7 @@ type Report struct {
 	GoArch   string `json:"goarch"`
 	Workload string `json:"workload"`
 
-	// HostCPUs is runtime.NumCPU() on the measuring host. The sharded
-	// record benchmarks (record-shardsN) only show speedup when
-	// HostCPUs > 1; on a single-CPU host they measure the epoch
-	// barrier's overhead instead.
+	// HostCPUs is runtime.NumCPU() on the measuring host.
 	HostCPUs int `json:"host_cpus"`
 
 	// Results are the live measurements from this run.
@@ -169,27 +165,6 @@ func Run() (*Report, error) {
 		}
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 	}))
-
-	// Sharded record: same workload, core phase fanned out across
-	// epoch-synchronized workers. Byte-identical output by contract
-	// (core.TestShardDeterminism), so this measures pure wall-clock;
-	// interpret against HostCPUs.
-	for _, shards := range []int{2, 4} {
-		scfg := cfg
-		scfg.Shards = shards
-		add(fmt.Sprintf("record-shards%d", shards), testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				r, err := relaxreplay.Record(scfg, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += r.Cycles()
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
-		}))
-	}
 
 	add("encode", testing.Benchmark(func(b *testing.B) {
 		b.SetBytes(int64(encoded.Len()))

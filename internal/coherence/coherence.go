@@ -190,49 +190,6 @@ type Stats struct {
 	SupersededWBEvents uint64
 }
 
-// Sub returns the counter-wise difference s - o. Both snapshots must
-// come from the same system with s taken later.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		L1Hits:             s.L1Hits - o.L1Hits,
-		L1Misses:           s.L1Misses - o.L1Misses,
-		Upgrades:           s.Upgrades - o.Upgrades,
-		DirtyEvictions:     s.DirtyEvictions - o.DirtyEvictions,
-		Transactions:       s.Transactions - o.Transactions,
-		SnoopsObserved:     s.SnoopsObserved - o.SnoopsObserved,
-		CacheToCache:       s.CacheToCache - o.CacheToCache,
-		L2Misses:           s.L2Misses - o.L2Misses,
-		RingMessages:       s.RingMessages - o.RingMessages,
-		MSHRRejects:        s.MSHRRejects - o.MSHRRejects,
-		InvalidationsSent:  s.InvalidationsSent - o.InvalidationsSent,
-		StaleWritebacks:    s.StaleWritebacks - o.StaleWritebacks,
-		WBBufferSupplies:   s.WBBufferSupplies - o.WBBufferSupplies,
-		SupersededWBEvents: s.SupersededWBEvents - o.SupersededWBEvents,
-	}
-}
-
-// AddScaled adds n copies of the per-cycle delta d to s, mirroring
-// cpu.Stats.AddScaled for the machine's idle-cycle fast-forward. An
-// inert memory system has an all-zero delta, but the method stays
-// field-complete so a future per-cycle counter cannot be silently
-// dropped.
-func (s *Stats) AddScaled(d Stats, n uint64) {
-	s.L1Hits += d.L1Hits * n
-	s.L1Misses += d.L1Misses * n
-	s.Upgrades += d.Upgrades * n
-	s.DirtyEvictions += d.DirtyEvictions * n
-	s.Transactions += d.Transactions * n
-	s.SnoopsObserved += d.SnoopsObserved * n
-	s.CacheToCache += d.CacheToCache * n
-	s.L2Misses += d.L2Misses * n
-	s.RingMessages += d.RingMessages * n
-	s.MSHRRejects += d.MSHRRejects * n
-	s.InvalidationsSent += d.InvalidationsSent * n
-	s.StaleWritebacks += d.StaleWritebacks * n
-	s.WBBufferSupplies += d.WBBufferSupplies * n
-	s.SupersededWBEvents += d.SupersededWBEvents * n
-}
-
 // System is the full memory hierarchy for one simulated machine.
 type System struct {
 	cfg   Config
@@ -247,12 +204,6 @@ type System struct {
 	// traffic allocates nothing.
 	freeEvents []*event
 
-	// work counts state mutations inside Tick (ring activity, events
-	// fired). The machine's idle-cycle fast-forward treats a tick whose
-	// work count did not move — here and in every core — as provably
-	// inert and safe to skip.
-	work uint64
-
 	performs    []PerformEvent
 	completions []Completion
 	// Spare buffers for the double-buffered Drain* calls: the slice a
@@ -260,19 +211,6 @@ type System struct {
 	// while new events accumulate in the other buffer.
 	performsSpare    []PerformEvent
 	completionsSpare []Completion
-
-	// Core-phase staging (BeginCorePhase/EndCorePhase). While staged,
-	// the submit path — which the sharded machine runs concurrently,
-	// one goroutine per shard of cores — routes every touch of
-	// machine-global state (the event heap, the ring, the aggregate
-	// Stats) into per-core buffers that only the submitting core's
-	// shard writes. The coordinator replays them at the epoch barrier
-	// in core order, reproducing the serial loop's event sequence
-	// numbers and ring injection order exactly.
-	staged     bool
-	stageStats []Stats
-	stageCompl [][]stagedCompletion
-	stageSends [][]interconnect.Message
 
 	// OnPerform, when set, receives every perform event synchronously,
 	// at the exact point within the cycle where the value binds. This
@@ -469,16 +407,11 @@ func (s *System) Busy() bool {
 //rrlint:hotpath
 func (s *System) Tick() {
 	s.cycle++
-	if s.ring.Busy() {
-		// A busy ring always mutates: hops, deliveries or injections.
-		s.work++
-	}
 	for _, d := range s.ring.Tick() {
 		s.dispatch(d)
 	}
 	for len(s.events) > 0 && s.events[0].cycle <= s.cycle {
 		ev := heap.Pop(&s.events).(*event)
-		s.work++
 		if ev.fn != nil {
 			ev.fn()
 			ev.fn = nil // release the closure before recycling
@@ -493,32 +426,6 @@ func (s *System) Tick() {
 		for i, l1 := range s.l1s {
 			s.tel.mshrOcc.Observe(i, uint64(len(l1.mshrs)))
 		}
-	}
-}
-
-// WorkCount returns a monotonically increasing count of state
-// mutations performed by Tick. If it does not move across a tick the
-// memory system's architectural state was untouched that cycle.
-func (s *System) WorkCount() uint64 { return s.work }
-
-// NextEventCycle returns the cycle of the earliest scheduled event,
-// if any. The fast-forward path uses it as a wake-up bound: with no
-// ring traffic, nothing in the memory system can change before that
-// cycle.
-func (s *System) NextEventCycle() (uint64, bool) {
-	if len(s.events) == 0 {
-		return 0, false
-	}
-	return s.events[0].cycle, true
-}
-
-// SkipTo advances the system clock to cycle without simulating the
-// intervening ticks. The caller (the machine's fast-forward) must have
-// proven the system inert: no ring traffic and no event due before
-// cycle.
-func (s *System) SkipTo(cycle uint64) {
-	if cycle > s.cycle {
-		s.cycle = cycle
 	}
 }
 
@@ -541,79 +448,6 @@ func (s *System) DrainCompletions() []Completion {
 	return out
 }
 
-// stagedCompletion defers one System.complete issued during the
-// sharded core phase until the epoch barrier.
-type stagedCompletion struct {
-	core  int
-	id    uint64
-	value uint64
-	delay uint64
-}
-
-// BeginCorePhase enters staged mode for one cycle's core phase: until
-// EndCorePhase, the submit path (the only System entry point invoked
-// outside Tick) appends its cross-core effects — scheduled
-// completions, ring injections, Stats increments — to per-core
-// buffers instead of touching the shared structures. Each buffer is
-// written only by the shard that owns its core, so the core phase is
-// data-race-free without locks. Memory-phase entry points (Tick,
-// receive, grant) must not run while staged.
-func (s *System) BeginCorePhase() {
-	if s.stageStats == nil {
-		s.stageStats = make([]Stats, s.cfg.Cores)
-		s.stageCompl = make([][]stagedCompletion, s.cfg.Cores)
-		s.stageSends = make([][]interconnect.Message, s.cfg.Cores)
-	}
-	s.staged = true
-}
-
-// EndCorePhase leaves staged mode and replays the staged effects in
-// core order 0..Cores-1, preserving each core's submission order.
-// That is exactly the order the serial loop produces (core i ticks
-// before core i+1), so event sequence numbers — and therefore every
-// downstream perform, completion and snoop ordering — are identical
-// to the unsharded run.
-func (s *System) EndCorePhase() {
-	s.staged = false
-	for core := 0; core < s.cfg.Cores; core++ {
-		s.Stats.AddScaled(s.stageStats[core], 1)
-		s.stageStats[core] = Stats{}
-		for _, sc := range s.stageCompl[core] {
-			s.complete(sc.core, sc.id, sc.value, sc.delay)
-		}
-		s.stageCompl[core] = s.stageCompl[core][:0]
-		for _, msg := range s.stageSends[core] {
-			s.ring.Send(msg)
-		}
-		s.stageSends[core] = s.stageSends[core][:0]
-	}
-}
-
-// statsFor returns the Stats sink for a submit-path increment on
-// behalf of core: the shared aggregate when serial, the core's
-// staging slot during a sharded core phase.
-//
-//rrlint:handoff
-func (s *System) statsFor(core int) *Stats {
-	if s.staged {
-		return &s.stageStats[core]
-	}
-	return &s.Stats
-}
-
-// send injects a ring message on behalf of core, staging it during a
-// sharded core phase (the ring's injection queues and max-depth
-// counter are machine-global).
-//
-//rrlint:handoff
-func (s *System) send(core int, msg interconnect.Message) {
-	if s.staged {
-		s.stageSends[core] = append(s.stageSends[core], msg)
-		return
-	}
-	s.ring.Send(msg)
-}
-
 func (s *System) dispatch(d interconnect.Delivery) {
 	if d.Node == s.cfg.Cores {
 		if d.Final {
@@ -624,11 +458,7 @@ func (s *System) dispatch(d interconnect.Delivery) {
 	s.l1s[d.Node].receive(d.Msg, d.Final)
 }
 
-// at schedules an arbitrary protocol action on the machine-global
-// event heap. Memory-phase only: the heap and the sequence counter
-// are coordinator-owned.
-//
-//rrlint:coordinator
+// at schedules an arbitrary protocol action on the event heap.
 func (s *System) at(delay uint64, fn func()) {
 	e := s.takeEvent()
 	e.cycle = s.cycle + delay
@@ -637,11 +467,9 @@ func (s *System) at(delay uint64, fn func()) {
 }
 
 // takeEvent returns a reset event box with a fresh sequence number,
-// reusing a fired one when available. Coordinator-owned: the sequence
-// counter and free list are machine-global.
+// reusing a fired one when available.
 //
 //rrlint:hotpath
-//rrlint:coordinator
 func (s *System) takeEvent() *event {
 	s.eventSeq++
 	var e *event
@@ -669,17 +497,9 @@ func (s *System) perform(ev PerformEvent) {
 // complete schedules a pipeline completion notification. It is the
 // highest-traffic event kind, so instead of a closure it uses a tagged
 // event (fn == nil) whose payload rides in the event box itself.
-// During a sharded core phase the completion is staged per core and
-// scheduled at the epoch barrier (same cycle, so the delay reproduces
-// the identical fire cycle).
 //
 //rrlint:hotpath
-//rrlint:handoff
 func (s *System) complete(core int, id uint64, value uint64, delay uint64) {
-	if s.staged {
-		s.stageCompl[core] = append(s.stageCompl[core], stagedCompletion{core: core, id: id, value: value, delay: delay}) //rrlint:allow hotpath-alloc (amortized append into reused buffer)
-		return
-	}
 	e := s.takeEvent()
 	e.cycle = s.cycle + delay
 	e.core, e.id, e.value = core, id, value

@@ -81,14 +81,6 @@ func (c *l1cache) touch(cl *cacheLine) {
 }
 
 // submit accepts one memory operation; false means "retry next cycle".
-//
-// submit is the one System entry point the core phase invokes, so
-// under the sharded machine it runs concurrently with other cores'
-// submits. Everything it touches is either owned by this core (the
-// cache arrays, MSHRs, the recorder behind the perform callback) or
-// funneled through the staging handoffs (statsFor, complete, send).
-//
-//rrlint:shardphase
 func (c *l1cache) submit(r Request) bool {
 	line := LineOf(r.Addr)
 
@@ -105,19 +97,19 @@ func (c *l1cache) submit(r Request) bool {
 	switch {
 	case r.Kind == Load && cl != nil:
 		c.bindLoad(r, cl)
-		c.sys.statsFor(c.core).L1Hits++
+		c.sys.Stats.L1Hits++
 		c.sys.tel.l1Hits.Inc(c.core)
 		return true
 	case r.Kind != Load && cl != nil && (cl.state == stateM || cl.state == stateE):
 		c.bindWrite(r, cl)
-		c.sys.statsFor(c.core).L1Hits++
+		c.sys.Stats.L1Hits++
 		c.sys.tel.l1Hits.Inc(c.core)
 		return true
 	}
 
 	// Miss (or store hit on a shared line: upgrade).
 	if len(c.mshrs) >= c.sys.cfg.L1MSHRs {
-		c.sys.statsFor(c.core).MSHRRejects++
+		c.sys.Stats.MSHRRejects++
 		c.sys.tel.mshrRejects.Inc(c.core)
 		return false
 	}
@@ -126,10 +118,10 @@ func (c *l1cache) submit(r Request) bool {
 		kind = reqGetM
 	}
 	if cl != nil && kind == reqGetM {
-		c.sys.statsFor(c.core).Upgrades++
+		c.sys.Stats.Upgrades++
 		c.sys.tel.upgrades.Inc(c.core)
 	} else {
-		c.sys.statsFor(c.core).L1Misses++
+		c.sys.Stats.L1Misses++
 		c.sys.tel.l1Misses.Inc(c.core)
 	}
 	m := &mshr{line: line, wantM: kind == reqGetM, issued: kind, waiters: []Request{r}}
@@ -139,7 +131,7 @@ func (c *l1cache) submit(r Request) bool {
 }
 
 func (c *l1cache) request(kind reqKind, line uint64, data LineData) {
-	c.sys.send(c.core, interconnect.Message{
+	c.sys.ring.Send(interconnect.Message{
 		Src:     c.core,
 		Dst:     c.sys.cfg.Cores,
 		Payload: &reqMsg{kind: kind, line: line, core: c.core, data: data},

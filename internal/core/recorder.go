@@ -240,70 +240,6 @@ type Stats struct {
 	DirtyEvictIncrements uint64
 }
 
-// Sub returns the counter-wise difference s - o. Both snapshots must
-// come from the same recorder with s taken later. TRAQPeak, a running
-// maximum rather than an accumulator, subtracts to zero across any
-// stretch in which no entry was pushed.
-func (s Stats) Sub(o Stats) Stats {
-	d := Stats{
-		Dispatched:           s.Dispatched - o.Dispatched,
-		Counted:              s.Counted - o.Counted,
-		MemCounted:           s.MemCounted - o.MemCounted,
-		ReorderedLoads:       s.ReorderedLoads - o.ReorderedLoads,
-		ReorderedStores:      s.ReorderedStores - o.ReorderedStores,
-		ReorderedAtomics:     s.ReorderedAtomics - o.ReorderedAtomics,
-		OptMoves:             s.OptMoves - o.OptMoves,
-		BaseSameInterval:     s.BaseSameInterval - o.BaseSameInterval,
-		PinnedReorders:       s.PinnedReorders - o.PinnedReorders,
-		Intervals:            s.Intervals - o.Intervals,
-		LogBufferFlushes:     s.LogBufferFlushes - o.LogBufferFlushes,
-		ConflictTerminations: s.ConflictTerminations - o.ConflictTerminations,
-		SizeTerminations:     s.SizeTerminations - o.SizeTerminations,
-		InorderBlocks:        s.InorderBlocks - o.InorderBlocks,
-		SnoopsObserved:       s.SnoopsObserved - o.SnoopsObserved,
-		TRAQOccupancySum:     s.TRAQOccupancySum - o.TRAQOccupancySum,
-		TRAQSamples:          s.TRAQSamples - o.TRAQSamples,
-		TRAQPeak:             s.TRAQPeak - o.TRAQPeak,
-		SquashedEntries:      s.SquashedEntries - o.SquashedEntries,
-		DirtyEvictIncrements: s.DirtyEvictIncrements - o.DirtyEvictIncrements,
-	}
-	for i := range d.TRAQOccupancyHist {
-		d.TRAQOccupancyHist[i] = s.TRAQOccupancyHist[i] - o.TRAQOccupancyHist[i]
-	}
-	return d
-}
-
-// AddScaled adds n copies of the per-cycle delta d to s, mirroring
-// cpu.Stats.AddScaled for the session's idle-cycle fast-forward: an
-// idle recorder still advances its occupancy statistics every tick,
-// and n skipped ticks contribute exactly n deltas. TRAQPeak has a zero
-// delta across idle ticks, so scaling leaves the maximum intact.
-func (s *Stats) AddScaled(d Stats, n uint64) {
-	s.Dispatched += d.Dispatched * n
-	s.Counted += d.Counted * n
-	s.MemCounted += d.MemCounted * n
-	s.ReorderedLoads += d.ReorderedLoads * n
-	s.ReorderedStores += d.ReorderedStores * n
-	s.ReorderedAtomics += d.ReorderedAtomics * n
-	s.OptMoves += d.OptMoves * n
-	s.BaseSameInterval += d.BaseSameInterval * n
-	s.PinnedReorders += d.PinnedReorders * n
-	s.Intervals += d.Intervals * n
-	s.LogBufferFlushes += d.LogBufferFlushes * n
-	s.ConflictTerminations += d.ConflictTerminations * n
-	s.SizeTerminations += d.SizeTerminations * n
-	s.InorderBlocks += d.InorderBlocks * n
-	s.SnoopsObserved += d.SnoopsObserved * n
-	s.TRAQOccupancySum += d.TRAQOccupancySum * n
-	s.TRAQSamples += d.TRAQSamples * n
-	s.TRAQPeak += d.TRAQPeak * int(n)
-	s.SquashedEntries += d.SquashedEntries * n
-	s.DirtyEvictIncrements += d.DirtyEvictIncrements * n
-	for i := range s.TRAQOccupancyHist {
-		s.TRAQOccupancyHist[i] += d.TRAQOccupancyHist[i] * n
-	}
-}
-
 // recTelem holds the recorder's pre-resolved telemetry handles. The
 // zero value (all nil) is the disabled state: every call is a no-op.
 type recTelem struct {
@@ -524,7 +460,6 @@ func (r *Recorder) push(e *traqEntry) {
 // perform time).
 //
 //rrlint:hotpath
-//rrlint:shardphase
 func (r *Recorder) Perform(seq uint64, addr uint64, isRead, isWrite bool, value, storedVal uint64, didWrite bool) {
 	i := r.entry(seq)
 	if i < 0 {
@@ -796,7 +731,6 @@ func (r *Recorder) logEntry(e replaylog.Entry) {
 // order. It also samples TRAQ occupancy for Figure 12.
 //
 //rrlint:hotpath
-//rrlint:shardphase
 func (r *Recorder) Tick(cycle uint64) {
 	r.Stats.TRAQOccupancySum += uint64(len(r.traq))
 	r.Stats.TRAQSamples++

@@ -118,8 +118,7 @@ func NewSession(mcfg machine.Config, rcfg Config, w Workload) (*Session, error) 
 		}
 	}
 	m := machine.New(mcfg, w.Progs, hookFor)
-	// The recorder tick rides the machine's core phase, so a sharded
-	// run keeps each recorder on the shard that owns its core.
+	// Each recorder ticks right after its core's pipeline.
 	m.ExtraTick = func(core int, cycle uint64) { recs[core].Tick(cycle) }
 	m.InitMemory(w.InitMem)
 	for i, in := range w.Inputs {
@@ -158,17 +157,10 @@ func NewSession(mcfg machine.Config, rcfg Config, w Workload) (*Session, error) 
 // The cycle loop itself is machine.RunWith — one shared driver for
 // the bare machine and the recording session — parameterized here
 // with the recorder side: TRAQ drain keeps the loop alive after the
-// machine quiesces, recorder work counters join the fast-forward's
-// frozen-tick test, and recorder statistics snapshots ride the idle
-// delta replay. Like machine.Run, idle stretches are skipped when
-// fast-forward is enabled (see machine.Config.NoFastForward) and the
-// result — recorded logs and all statistics — is bit-identical to
-// the fully ticked run. Config.Shards likewise changes nothing
-// observable: the recorders tick on the shard owning their core, and
-// the logs stay byte-identical to the serial loop.
+// machine quiesces, and recorder telemetry samples at the end of
+// every cycle.
 func (s *Session) Run() (*Result, error) {
 	m := s.M
-	recSnap := make([]Stats, len(s.Recorders))
 	err := m.RunWith(machine.Driver{
 		ExtraBusy: func() bool {
 			for _, r := range s.Recorders {
@@ -178,30 +170,9 @@ func (s *Session) Run() (*Result, error) {
 			}
 			return false
 		},
-		// Every entry drained from a TRAQ bumps Stats.Counted, so a
-		// tick across which this sum is frozen also left every
-		// recorder's architectural state untouched (only its
-		// per-cycle occupancy statistics moved).
-		ExtraWork: func() uint64 {
-			var w uint64
-			for _, r := range s.Recorders {
-				w += r.Stats.Counted
-			}
-			return w
-		},
 		EndCycle: func(cycle uint64) {
 			if s.samp.every != 0 && cycle%s.samp.every == 0 {
 				s.sample(cycle)
-			}
-		},
-		CaptureExtra: func() {
-			for i, r := range s.Recorders {
-				recSnap[i] = r.Stats
-			}
-		},
-		ReplayExtra: func(n uint64) {
-			for i, r := range s.Recorders {
-				r.Stats.AddScaled(r.Stats.Sub(recSnap[i]), n)
 			}
 		},
 		// Close every sampled track at the exact end of the run.
@@ -209,10 +180,6 @@ func (s *Session) Run() (*Result, error) {
 			m.SampleTelemetry()
 			s.sample(m.Cycle())
 		},
-		// Recorder-side fault points observe individual cycles, so
-		// fault injection disables fast-forward here even when the
-		// machine config alone would allow it.
-		DisableFF: s.rcfg.Faults != nil,
 		WrapErr: func(core int, err error) error {
 			return fmt.Errorf("core: recording: core %d: %w", core, err)
 		},

@@ -44,8 +44,6 @@ type Core struct {
 	execScratch []*uop
 	// freeUops recycles retired and squashed uops; see allocUop.
 	freeUops []*uop
-	// work counts state changes; see WorkCount.
-	work uint64
 
 	predictor []uint8
 
@@ -111,8 +109,6 @@ func (c *Core) ID() int { return c.id }
 // bound its value this cycle. It may be called synchronously from
 // inside a Submit, so it must not mutate the pipeline queues; a
 // performed write-buffer store is swept out by drainWB.
-//
-//rrlint:shardphase
 func (c *Core) HandlePerform(ev coherence.PerformEvent) {
 	u := c.lookup(ev.ID)
 	if u == nil {
@@ -123,8 +119,6 @@ func (c *Core) HandlePerform(ev coherence.PerformEvent) {
 
 // HandleCompletion delivers the pipeline notification for a load, RMW
 // or store submitted to the memory system.
-//
-//rrlint:shardphase
 func (c *Core) HandleCompletion(ev coherence.Completion) {
 	u := c.lookup(ev.ID)
 	if u == nil || u.state == uopDone {
@@ -183,7 +177,6 @@ func (c *Core) markPerformed(u *uop) {
 	if u.performed {
 		return
 	}
-	c.work++
 	u.performed = true
 	u.oooPerform = c.olderMemPending(u.seq)
 	// Stores perform after retirement (from the write buffer), so
@@ -218,7 +211,6 @@ func (c *Core) olderMemPending(seq uint64) bool {
 //
 //rrlint:hotpath
 func (c *Core) finish(u *uop, val uint64) {
-	c.work++
 	u.val = val
 	u.state = uopDone
 	for _, w := range u.waiters { // never squashed: see squashAfter
@@ -248,7 +240,6 @@ func (c *Core) wantsALUQueue(u *uop) bool {
 
 //rrlint:hotpath
 func (c *Core) pushReady(u *uop) {
-	c.work++
 	u.state = uopReady
 	lo := searchSeq(c.readyALU, u.seq+1)
 	c.readyALU = append(c.readyALU, nil)
@@ -257,11 +248,7 @@ func (c *Core) pushReady(u *uop) {
 }
 
 // Tick advances the core one cycle. The machine must deliver this
-// cycle's perform and completion events before calling Tick. Under the
-// sharded run loop Tick runs on a shard worker, so everything it
-// reaches must be core-local or a coherence staging handoff.
-//
-//rrlint:shardphase
+// cycle's perform and completion events before calling Tick.
 func (c *Core) Tick(cycle uint64) {
 	c.cycle = cycle
 	if c.err != nil || c.Quiesced() {
@@ -343,7 +330,6 @@ func (c *Core) mispredict(u *uop, taken bool) {
 // allocUop reuses it, because the snapshot completeExecuting walks may
 // still hold it.
 func (c *Core) squashAfter(after uint64) {
-	c.work++
 	cut := len(c.rob)
 	for cut > 0 && c.rob[cut-1].seq > after {
 		cut--
@@ -435,7 +421,6 @@ func (c *Core) retire() {
 				return
 			}
 		case u.ins.Op == isa.HALT:
-			c.work++
 			c.halted = true
 			c.Stats.Retired++
 			c.tel.retired.Inc(c.id)
@@ -455,7 +440,6 @@ func (c *Core) retire() {
 			}
 		}
 
-		c.work++
 		if u.ins.WritesReg() {
 			c.archRegs[u.ins.Rd] = u.val
 		}
@@ -543,13 +527,11 @@ func (c *Core) issueHeadOps(budget *int) {
 			Apply: func(old uint64) (uint64, bool) { return isa.AmoApply(ins, old, rs2, rd) },
 		})
 		if ok {
-			c.work++
 			u.state = uopIssued
 			c.tel.issuedMem.Inc(c.id)
 			*budget--
 		}
 	case u.ins.Op == isa.IN && u.state == uopWaiting:
-		c.work++
 		if c.inPos >= len(c.inputs) {
 			c.err = isa.ErrOutOfInput
 			return
@@ -587,7 +569,6 @@ func (c *Core) issueLoads(budget *int) {
 			// Opportunistic address generation so younger loads can
 			// disambiguate without waiting for the store data.
 			if !u.addrKnown && u.srcOwner[0] == nil {
-				c.work++
 				u.addr = isa.EffAddr(ins, u.srcVal[0])
 				u.addrKnown = true
 			}
@@ -618,7 +599,6 @@ func (c *Core) tryIssueLoad(u *uop, storeAddrUnknown bool, budget *int) {
 		return // address operand not ready
 	}
 	if !u.addrKnown {
-		c.work++
 		u.addr = isa.EffAddr(u.ins, u.srcVal[0])
 		u.addrKnown = true
 	}
@@ -653,7 +633,6 @@ func (c *Core) tryIssueLoad(u *uop, storeAddrUnknown bool, budget *int) {
 		*budget = 0 // MSHRs full; retry next cycle
 		return
 	}
-	c.work++
 	u.state = uopIssued
 	c.tel.issuedMem.Inc(c.id)
 	*budget--
@@ -723,7 +702,6 @@ func (c *Core) drainWB(budget *int) {
 	kept := c.wb[:0]
 	for _, u := range c.wb {
 		if u.performed {
-			c.work++
 			c.freeUop(u)
 			continue
 		}
@@ -769,7 +747,6 @@ func (c *Core) drainWB(budget *int) {
 		}) {
 			return
 		}
-		c.work++
 		u.wbIssued = true
 		c.tel.issuedMem.Inc(c.id)
 		*budget--
@@ -786,7 +763,6 @@ func (c *Core) issueALU() {
 	for pop < len(c.readyALU) && n < c.cfg.IssueWidth {
 		u := c.readyALU[pop]
 		pop++
-		c.work++
 		lat := c.cfg.ALULat
 		if u.ins.Op == isa.MUL {
 			lat = c.cfg.MulLat
@@ -832,7 +808,6 @@ func (c *Core) dispatch() {
 			return
 		}
 		c.nextSeq++
-		c.work++
 		u := c.allocUop(seq, c.pc, ins)
 		c.captureSources(u)
 		if ins.WritesReg() {
@@ -965,38 +940,6 @@ func (c *Core) freeUop(u *uop) {
 // for the machine's cycle-sampled telemetry tracks.
 func (c *Core) Occupancy() (rob, lsq, wb int) {
 	return len(c.rob), len(c.lsq), len(c.wb)
-}
-
-// WorkCount returns a monotonically increasing count of pipeline state
-// changes (dispatches, wakeups, issues, completions, retires, squash
-// and write-buffer activity). Two equal readings bracketing a Tick
-// prove the tick changed nothing but per-cycle statistics — the
-// machine's idle-cycle fast-forward builds on exactly that guarantee,
-// so every Core mutation site must bump the counter.
-func (c *Core) WorkCount() uint64 { return c.work }
-
-// NextWake returns the earliest future cycle at which this core can
-// make progress with no external stimulus: the earliest in-flight
-// completion, or the end of a mispredict fetch stall. ok is false when
-// no time-based wakeup exists (the core is quiesced, faulted, or
-// waiting solely on the memory system). Only meaningful right after a
-// zero-work tick; extra early wakeups are harmless, missed ones are
-// not.
-func (c *Core) NextWake() (cycle uint64, ok bool) {
-	if c.err != nil || c.Quiesced() {
-		return 0, false
-	}
-	for _, u := range c.executing {
-		if !ok || u.doneAt < cycle {
-			cycle, ok = u.doneAt, true
-		}
-	}
-	if !c.halted && c.haltSeq < 0 && c.fetchStallUntil > c.cycle {
-		if !ok || c.fetchStallUntil < cycle {
-			cycle, ok = c.fetchStallUntil, true
-		}
-	}
-	return cycle, ok
 }
 
 // String summarizes the core state for debugging.

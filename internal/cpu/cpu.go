@@ -154,54 +154,6 @@ type Stats struct {
 	RetireStallWB     uint64
 }
 
-// Sub returns the counter-wise difference s - o. Both snapshots must
-// come from the same core with s taken later, so every field of s is
-// >= the corresponding field of o.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		Cycles:            s.Cycles - o.Cycles,
-		Retired:           s.Retired - o.Retired,
-		MemRetired:        s.MemRetired - o.MemRetired,
-		LoadsRetired:      s.LoadsRetired - o.LoadsRetired,
-		StoresRetired:     s.StoresRetired - o.StoresRetired,
-		AtomicsRetired:    s.AtomicsRetired - o.AtomicsRetired,
-		OOOLoads:          s.OOOLoads - o.OOOLoads,
-		OOOStores:         s.OOOStores - o.OOOStores,
-		Mispredicts:       s.Mispredicts - o.Mispredicts,
-		BranchesRetired:   s.BranchesRetired - o.BranchesRetired,
-		SquashedUops:      s.SquashedUops - o.SquashedUops,
-		Forwards:          s.Forwards - o.Forwards,
-		DispatchStallROB:  s.DispatchStallROB - o.DispatchStallROB,
-		DispatchStallLSQ:  s.DispatchStallLSQ - o.DispatchStallLSQ,
-		DispatchStallTRAQ: s.DispatchStallTRAQ - o.DispatchStallTRAQ,
-		RetireStallWB:     s.RetireStallWB - o.RetireStallWB,
-	}
-}
-
-// AddScaled adds n copies of the per-cycle delta d to s. The machine's
-// idle-cycle fast-forward uses it to account skipped cycles: during a
-// provably idle stretch each per-cycle counter (cycles, stall tallies)
-// advances by the same amount every cycle, so n ticks contribute
-// exactly n deltas.
-func (s *Stats) AddScaled(d Stats, n uint64) {
-	s.Cycles += d.Cycles * n
-	s.Retired += d.Retired * n
-	s.MemRetired += d.MemRetired * n
-	s.LoadsRetired += d.LoadsRetired * n
-	s.StoresRetired += d.StoresRetired * n
-	s.AtomicsRetired += d.AtomicsRetired * n
-	s.OOOLoads += d.OOOLoads * n
-	s.OOOStores += d.OOOStores * n
-	s.Mispredicts += d.Mispredicts * n
-	s.BranchesRetired += d.BranchesRetired * n
-	s.SquashedUops += d.SquashedUops * n
-	s.Forwards += d.Forwards * n
-	s.DispatchStallROB += d.DispatchStallROB * n
-	s.DispatchStallLSQ += d.DispatchStallLSQ * n
-	s.DispatchStallTRAQ += d.DispatchStallTRAQ * n
-	s.RetireStallWB += d.RetireStallWB * n
-}
-
 type uopState uint8
 
 const (

@@ -357,7 +357,6 @@ func (s *Suite) chaosRecord(base *Run, cinj *faultinject.Injector) (*core.Result
 	mcfg.Mem.Protocol = s.opts.Protocol
 	mcfg.MaxCycles = base.Res.Cycles*20 + 100_000
 	mcfg.Faults = cinj
-	mcfg.Shards = s.opts.Shards
 	return core.Record(mcfg, rcfg, core.Workload{
 		Name: base.W.Name, Progs: base.W.Progs, Inputs: base.W.Inputs, InitMem: base.W.InitMem,
 	})

@@ -58,18 +58,6 @@ type Options struct {
 	// "suite.run_duration_ms"). nil means zero overhead; tables and
 	// logs are byte-identical either way.
 	Telemetry *telemetry.Telemetry
-
-	// NoFastForward disables the machine's idle-cycle fast-forward for
-	// every recording (see machine.Config.NoFastForward). Results are
-	// byte-identical either way; the determinism regression tests flip
-	// this switch to prove it.
-	NoFastForward bool
-
-	// Shards spreads each recording's per-cycle core phase over this
-	// many goroutines (see machine.Config.Shards). Results are
-	// byte-identical either way; the shard-determinism regression
-	// tests flip this switch to prove it.
-	Shards int
 }
 
 // DefaultOptions mirrors the paper's default setup: 8 cores, snoopy
@@ -292,8 +280,6 @@ func (s *Suite) execute(spec Spec) (*Run, error) {
 	mcfg := machine.DefaultConfig(spec.Cores)
 	mcfg.Mem.Protocol = s.opts.Protocol
 	mcfg.Telemetry = s.opts.Telemetry
-	mcfg.NoFastForward = s.opts.NoFastForward
-	mcfg.Shards = s.opts.Shards
 	rcfg.Telemetry = s.opts.Telemetry
 	res, err := core.Record(mcfg, rcfg, core.Workload{
 		Name: w.Name, Progs: w.Progs, Inputs: w.Inputs, InitMem: w.InitMem,

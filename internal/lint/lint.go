@@ -39,10 +39,6 @@
 //     done-channel, or WaitGroup visible at the launch site.
 //   - atomicmix: no struct field is accessed both through sync/atomic
 //     and by plain load/store anywhere in the program.
-//   - shardsafety: no //rrlint:shardphase function (the sharded run
-//     loop's core phase) may reach an //rrlint:coordinator function
-//     (machine-global state) except through an //rrlint:handoff that
-//     stages the effect for the epoch barrier.
 //
 // Findings are suppressed per line with a `//rrlint:allow <check>`
 // comment (on the offending line or the line above), so intentional
@@ -98,7 +94,6 @@ func Checks() []*Check {
 		blockinglockCheck,
 		goroleakCheck,
 		atomicmixCheck,
-		shardsafetyCheck,
 	}
 }
 

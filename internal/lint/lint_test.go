@@ -28,7 +28,6 @@ var goldenFixtures = []struct {
 	{"blockinglock", "blockinglock"},
 	{"goroleak", "goroleak"},
 	{"atomicmix", "atomicmix"},
-	{"shardsafety", "shardsafety"},
 }
 
 // loadFixture loads one testdata tree and fails the test on loader or

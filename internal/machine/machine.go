@@ -28,9 +28,17 @@ const (
 
 // Config describes a machine.
 type Config struct {
-	Cores     int
-	CPU       cpu.Config
-	Mem       coherence.Config
+	Cores int
+	CPU   cpu.Config
+	Mem   coherence.Config
+
+	// MaxCycles is the run's cycle budget: Run fails with *StallError
+	// once it elapses without completion. Every cycle is ticked, so a
+	// deadlocked machine (a spinlock never released, a coherence
+	// message lost to fault injection) spends the whole budget before
+	// it reports; at the 500M default that is minutes of host time
+	// (DESIGN.md §15). Callers that expect stalls, like the chaos
+	// matrix, derive a smaller budget from a clean run.
 	MaxCycles uint64
 
 	// Telemetry, when non-nil, is propagated to the CPU and memory
@@ -45,23 +53,6 @@ type Config struct {
 	// classifiable failure is the intended behaviour under fault
 	// injection. Nil keeps the machine fully deterministic.
 	Faults *faultinject.Injector
-
-	// NoFastForward disables the idle-cycle fast-forward (see Run).
-	// Fast-forward never changes observable behaviour — cycle counts,
-	// statistics and recorded logs are identical either way, which the
-	// determinism regression tests prove by flipping this switch — so
-	// the flag exists for those tests and for debugging.
-	NoFastForward bool
-
-	// Shards spreads the per-cycle core phase (pipeline tick + L1
-	// submits + recorder tick) over this many goroutines, each owning a
-	// contiguous range of cores, with an epoch barrier at every cycle
-	// boundary. Sharding never changes observable behaviour: cycle
-	// counts, statistics and recorded logs are byte-identical to the
-	// serial loop (see DESIGN.md §19). 0 or 1 means serial; values
-	// above Cores are clamped. Telemetry tracing forces serial, since
-	// the tracer's event stream is not shard-safe.
-	Shards int
 }
 
 // DefaultConfig returns the paper's Table 1 machine with the given
@@ -88,14 +79,9 @@ type Machine struct {
 	PerformSink func(ev coherence.PerformEvent)
 
 	// ExtraTick, when set, runs for every core right after that core's
-	// pipeline tick, inside the core phase (so on the owning shard when
-	// sharded). The recording session hangs the per-core recorder tick
-	// here; it must touch only state owned by that core.
+	// pipeline tick. The recording session hangs the per-core recorder
+	// tick here.
 	ExtraTick func(core int, cycle uint64)
-
-	ffSkipped uint64 // cycles skipped by fast-forward (see SkipTo)
-
-	pool *shardPool // non-nil only inside a sharded RunWith
 
 	samp sampler
 }
@@ -183,14 +169,9 @@ func (m *Machine) InitMemory(words map[uint64]uint64) {
 // SetInputs provides core's external input stream (consumed by IN).
 func (m *Machine) SetInputs(core int, in []uint64) { m.Cores[core].SetInputs(in) }
 
-// Step advances the machine one cycle. Inside a sharded RunWith the
-// core phase fans out to the shard workers; otherwise the cores tick
-// in order on the calling goroutine.
+// Step advances the machine one cycle: the memory system ticks, the
+// cycle's completions reach their cores, then the cores tick in order.
 func (m *Machine) Step() {
-	if m.pool != nil {
-		m.stepSharded()
-		return
-	}
 	m.cycle++
 	m.Sys.Tick()
 	for _, ev := range m.Sys.DrainCompletions() {
@@ -228,107 +209,11 @@ func (m *Machine) SampleTelemetry() {
 	tr.Counter(telemetry.PidRecord, 0, "interconnect", "ring.hops", cyc, m.Sys.RingHops())
 }
 
-// WorkCount sums the state-mutation counters of every core and the
-// memory system. A tick across which it does not move touched no
-// architectural state: only the clock and per-cycle statistics (stall
-// tallies, occupancy sums) advanced. When sharded, the per-core sums
-// come from the per-shard aggregates the workers computed at the last
-// epoch barrier, so the coordinator's check stays O(shards).
-func (m *Machine) WorkCount() uint64 {
-	w := m.Sys.WorkCount()
-	if p := m.pool; p != nil {
-		for _, sw := range p.work {
-			w += sw
-		}
-		return w
-	}
-	for _, c := range m.Cores {
-		w += c.WorkCount()
-	}
-	return w
-}
-
-// FastForwardEnabled reports whether Run (and the recording session)
-// may skip provably idle cycles. Telemetry and fault injection both
-// observe individual cycles, so either disables the optimization, as
-// does the explicit Config.NoFastForward switch.
-func (m *Machine) FastForwardEnabled() bool {
-	return m.cfg.Telemetry == nil && m.cfg.Faults == nil && !m.cfg.NoFastForward
-}
-
-// NextWakeCycle returns the earliest future cycle at which a frozen
-// machine can make progress: the soonest in-flight execution result or
-// fetch-stall expiry on any core, or the soonest scheduled memory
-// event. ok is false when nothing is pending anywhere — the machine is
-// deadlocked and only MaxCycles will end the run.
-func (m *Machine) NextWakeCycle() (wake uint64, ok bool) {
-	if p := m.pool; p != nil {
-		for w := range p.wake {
-			if p.wakeOK[w] && (!ok || p.wake[w] < wake) {
-				wake, ok = p.wake[w], true
-			}
-		}
-	} else {
-		for _, c := range m.Cores {
-			if t, o := c.NextWake(); o && (!ok || t < wake) {
-				wake, ok = t, true
-			}
-		}
-	}
-	if t, o := m.Sys.NextEventCycle(); o && (!ok || t < wake) {
-		wake, ok = t, true
-	}
-	return wake, ok
-}
-
-// StatsSnapshot captures every per-core and memory-system counter, so
-// a fast-forward can replay the per-cycle statistics delta of skipped
-// idle cycles exactly.
-type StatsSnapshot struct {
-	Cores []cpu.Stats
-	Sys   coherence.Stats
-}
-
-// CaptureStats records the current counters into s, reusing its
-// backing storage.
-func (m *Machine) CaptureStats(s *StatsSnapshot) {
-	if cap(s.Cores) < len(m.Cores) {
-		s.Cores = make([]cpu.Stats, len(m.Cores))
-	}
-	s.Cores = s.Cores[:len(m.Cores)]
-	for i, c := range m.Cores {
-		s.Cores[i] = c.Stats
-	}
-	s.Sys = m.Sys.Stats
-}
-
-// ReplayIdleDelta adds n copies of (current counters - s) to the live
-// statistics. During a provably idle stretch every counter moves by
-// the same amount each cycle, so the one-cycle delta times the skipped
-// cycle count reproduces exactly what ticking would have accumulated.
-func (m *Machine) ReplayIdleDelta(s *StatsSnapshot, n uint64) {
-	for i, c := range m.Cores {
-		c.Stats.AddScaled(c.Stats.Sub(s.Cores[i]), n)
-	}
-	m.Sys.Stats.AddScaled(m.Sys.Stats.Sub(s.Sys), n)
-}
-
-// SkipTo advances the global clock (and the memory system's) to cycle
-// without simulating the intervening ticks. The caller must have
-// proven the machine idle through cycle and replayed the statistics
-// delta first.
-func (m *Machine) SkipTo(cycle uint64) {
-	if cycle > m.cycle {
-		m.ffSkipped += cycle - m.cycle
-		m.cycle = cycle
-		m.Sys.SkipTo(cycle)
-	}
-}
-
-// FastForwardedCycles returns the total number of cycles skipped by
-// fast-forward, for tests that need to prove the optimization actually
-// engaged.
-func (m *Machine) FastForwardedCycles() uint64 { return m.ffSkipped }
+// FastForwardedCycles always returns 0: the run loop ticks every cycle
+// and skips none. It stays only because the benchmark module's traced
+// runs read it for their machine.ff_skip_frac metric; it goes when
+// that metric does.
+func (m *Machine) FastForwardedCycles() uint64 { return 0 }
 
 // Done reports whether every core has halted and drained and the
 // memory system is idle.
@@ -359,26 +244,11 @@ func (e *StallError) Error() string {
 // completion, which almost always indicates a deadlocked workload
 // (e.g. a spinlock never released).
 //
-// When FastForwardEnabled, Run skips provably idle stretches: after
-// two consecutive ticks in which no core and no memory-system
-// component mutated state (WorkCount frozen), nothing can change
-// before the earliest pending wake-up (NextWakeCycle), so the clock
-// jumps there directly while the per-cycle statistics delta — measured
-// over the second frozen tick — is replayed for every skipped cycle.
-// The result is bit-identical to ticking: same cycle counts, same
-// statistics, same recorded logs, just without simulating cycles in
-// which nothing happens.
-//
 // Run is RunWith with an empty Driver; the recording session layers
 // its recorder hooks on the same loop (see Driver).
 func (m *Machine) Run() error {
 	return m.RunWith(Driver{})
 }
-
-// CoreSnapshots exposes the per-core stall snapshot for callers that
-// build their own StallError (the recording session shares the
-// machine's cycle budget).
-func (m *Machine) CoreSnapshots() []string { return m.snapshotCores() }
 
 // snapshotCores describes each core's pipeline state plus its final
 // telemetry counters (retired and stall counts), so a deadlock report

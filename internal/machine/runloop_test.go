@@ -2,23 +2,18 @@ package machine
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"relaxreplay/internal/isa"
-	"relaxreplay/internal/workload"
 )
 
-// probeProg builds the probe-tick error workload: a long-latency MUL
-// chain keeps the single core frozen (no architectural state moves
-// while the multiplier grinds), so the fast-forward enters its
-// frozen-tick/probe-tick sequence; the IN behind it has no input
-// stream, so the moment it reaches the ROB head the core raises
-// isa.ErrOutOfInput. Scanning the MUL latency slides the error cycle
-// across the fast-forward's internal phases until it lands exactly on
-// the probe tick.
-func probeProg(chain int) isa.Program {
-	b := isa.NewBuilder("probe-err")
+// inAfterMulProg builds a workload that fails late: a MUL chain keeps
+// the single core busy, and the IN behind it has no input stream, so
+// the moment it reaches the ROB head the core raises
+// isa.ErrOutOfInput. The chain length and MUL latency move the error
+// cycle.
+func inAfterMulProg(chain int) isa.Program {
+	b := isa.NewBuilder("in-after-mul")
 	b.Li(isa.R(3), 7)
 	for i := 0; i < chain; i++ {
 		b.Mul(isa.R(3), isa.R(3), isa.R(3))
@@ -28,114 +23,46 @@ func probeProg(chain int) isa.Program {
 	return b.MustBuild()
 }
 
-// TestProbeTickErrorNotSwallowed is the regression test for the
-// fast-forward probe-tick bug: the probe Step() in the old machine.Run
-// and Session.Run loops never checked core errors, so an error raised
-// exactly on the probe tick was detected one cycle late — and when
-// that probe tick was also the MaxCycles boundary, the next iteration
-// hit the budget check first and masked the real error as a
-// *StallError. The scan over MUL latencies guarantees some
-// configuration lands the error on a probe tick; for every
-// configuration the fast-forwarded run must report the same error at
-// the same cycle as the fully ticked run, including when MaxCycles is
-// pinned to exactly the error cycle.
-func TestProbeTickErrorNotSwallowed(t *testing.T) {
-	landed := false
+// TestCoreErrorWinsAtMaxCycles pins the run loop's budget boundary: a
+// core error raised on the last budgeted cycle must be reported as
+// that error, at its true cycle, never masked as a *StallError.
+func TestCoreErrorWinsAtMaxCycles(t *testing.T) {
 	for chain := 1; chain <= 3; chain++ {
-		prog := probeProg(chain)
-		for lat := uint64(1); lat <= 30; lat++ {
-			build := func(noFF bool, maxCycles uint64) *Machine {
+		prog := inAfterMulProg(chain)
+		for _, lat := range []uint64{1, 3, 12, 30} {
+			build := func(maxCycles uint64) *Machine {
 				cfg := DefaultConfig(1)
 				cfg.CPU.MulLat = lat
-				cfg.NoFastForward = noFF
 				if maxCycles != 0 {
 					cfg.MaxCycles = maxCycles
 				}
 				return New(cfg, []isa.Program{prog}, nil)
 			}
 
-			ticked := build(true, 0)
-			errTicked := ticked.Run()
-			if !errors.Is(errTicked, isa.ErrOutOfInput) {
-				t.Fatalf("chain=%d lat=%d: ticked run: got %v, want ErrOutOfInput", chain, lat, errTicked)
+			free := build(0)
+			if err := free.Run(); !errors.Is(err, isa.ErrOutOfInput) {
+				t.Fatalf("chain=%d lat=%d: got %v, want ErrOutOfInput", chain, lat, err)
 			}
-			errCycle := ticked.Cycle()
+			errCycle := free.Cycle()
 
-			ffed := build(false, 0)
-			errFF := ffed.Run()
-			if !errors.Is(errFF, isa.ErrOutOfInput) {
-				t.Errorf("chain=%d lat=%d: fast-forwarded run: got %v, want ErrOutOfInput", chain, lat, errFF)
-			}
-			if ffed.Cycle() != errCycle {
-				t.Errorf("chain=%d lat=%d: error detected at cycle %d fast-forwarded, %d ticked",
-					chain, lat, ffed.Cycle(), errCycle)
-			}
-			if ffed.FastForwardedCycles() > 0 {
-				landed = true
-			}
-
-			// MaxCycles pinned to the error cycle: the core error must
-			// win over the budget, never be masked as a stall.
-			pinned := build(false, errCycle)
-			errPinned := pinned.Run()
+			pinned := build(errCycle)
+			err := pinned.Run()
 			var stall *StallError
-			if errors.As(errPinned, &stall) {
-				t.Errorf("chain=%d lat=%d: core error at the MaxCycles boundary masked as %v", chain, lat, errPinned)
-			} else if !errors.Is(errPinned, isa.ErrOutOfInput) {
-				t.Errorf("chain=%d lat=%d: pinned run: got %v, want ErrOutOfInput", chain, lat, errPinned)
+			if errors.As(err, &stall) {
+				t.Errorf("chain=%d lat=%d: core error at the MaxCycles boundary masked as %v", chain, lat, err)
+			} else if !errors.Is(err, isa.ErrOutOfInput) {
+				t.Errorf("chain=%d lat=%d: pinned run: got %v, want ErrOutOfInput", chain, lat, err)
 			}
-		}
-	}
-	if !landed {
-		t.Error("no scanned configuration engaged fast-forward before the error; the scan proves nothing")
-	}
-}
-
-// TestShardedRunMatchesSerial pins the sharding contract at the bare-
-// machine level: identical cycle count, statistics and final memory
-// for every shard count, including ones that do not divide the core
-// count evenly and ones clamped to it.
-func TestShardedRunMatchesSerial(t *testing.T) {
-	k := workload.FFT(4, 1)
-	runWith := func(shards int) *Machine {
-		cfg := DefaultConfig(len(k.Progs))
-		cfg.Shards = shards
-		m := New(cfg, k.Progs, nil)
-		m.InitMemory(k.InitMem)
-		for i, in := range k.Inputs {
-			m.SetInputs(i, in)
-		}
-		if err := m.Run(); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return m
-	}
-	serial := runWith(1)
-	for _, shards := range []int{2, 3, 4, 64} {
-		m := runWith(shards)
-		if m.Cycle() != serial.Cycle() {
-			t.Errorf("shards=%d: %d cycles, serial %d", shards, m.Cycle(), serial.Cycle())
-		}
-		for i := range m.Cores {
-			if m.Cores[i].Stats != serial.Cores[i].Stats {
-				t.Errorf("shards=%d: core %d stats diverge:\n sharded: %+v\n serial:  %+v",
-					shards, i, m.Cores[i].Stats, serial.Cores[i].Stats)
+			if pinned.Cycle() != errCycle {
+				t.Errorf("chain=%d lat=%d: pinned run reported at cycle %d, want %d", chain, lat, pinned.Cycle(), errCycle)
 			}
-		}
-		if m.Sys.Stats != serial.Sys.Stats {
-			t.Errorf("shards=%d: memory stats diverge:\n sharded: %+v\n serial:  %+v",
-				shards, m.Sys.Stats, serial.Sys.Stats)
-		}
-		if !reflect.DeepEqual(m.FinalMemory(), serial.FinalMemory()) {
-			t.Errorf("shards=%d: final memory diverges from serial", shards)
 		}
 	}
 }
 
-// TestShardedStallReport: a deadlocked sharded run must produce the
-// same *StallError (same cycle budget) as the serial loop, proving the
-// epoch driver handles the stall exit with workers still parked.
-func TestShardedStallReport(t *testing.T) {
+// TestStallReport: a deadlocked run ends with a *StallError carrying
+// the cycle budget and one snapshot per core.
+func TestStallReport(t *testing.T) {
 	// A spin on a memory word nobody writes: livelock by construction.
 	b := isa.NewBuilder("spin")
 	b.Li(isa.R(3), 0x100)
@@ -144,18 +71,18 @@ func TestShardedStallReport(t *testing.T) {
 	b.Beq(isa.R(4), isa.R(0), "loop")
 	b.Halt()
 	prog := b.MustBuild()
-	for _, shards := range []int{1, 2} {
-		cfg := DefaultConfig(2)
-		cfg.Shards = shards
-		cfg.MaxCycles = 5_000
-		m := New(cfg, []isa.Program{prog, prog}, nil)
-		err := m.Run()
-		var stall *StallError
-		if !errors.As(err, &stall) {
-			t.Fatalf("shards=%d: got %v, want *StallError", shards, err)
-		}
-		if stall.Cycles != cfg.MaxCycles {
-			t.Errorf("shards=%d: stall at %d, want %d", shards, stall.Cycles, cfg.MaxCycles)
-		}
+	cfg := DefaultConfig(2)
+	cfg.MaxCycles = 5_000
+	m := New(cfg, []isa.Program{prog, prog}, nil)
+	err := m.Run()
+	var stall *StallError
+	if !errors.As(err, &stall) {
+		t.Fatalf("got %v, want *StallError", err)
+	}
+	if stall.Cycles != cfg.MaxCycles || m.Cycle() != cfg.MaxCycles {
+		t.Errorf("stall at %d (machine cycle %d), want %d", stall.Cycles, m.Cycle(), cfg.MaxCycles)
+	}
+	if len(stall.Cores) != cfg.Cores {
+		t.Errorf("%d core snapshots, want %d", len(stall.Cores), cfg.Cores)
 	}
 }

@@ -112,7 +112,7 @@ type SessionWriter struct {
 	spill *os.File
 
 	conn       *clientConn
-	attempts   int       // consecutive failures since last ack progress
+	attempts   int // consecutive failures since last ack progress
 	retries    int
 	nextDial   time.Time // earliest next tryReconnect dial (backoff without sleeping)
 	lastSend   time.Time

@@ -53,7 +53,7 @@ type serverSession struct {
 	durable atomic.Uint64 // chunks covered by an fsync'd segment
 
 	mu      sync.Mutex
-	tenant  string // immutable once the session is published
+	tenant  string            // immutable once the session is published
 	contig  uint64            // next seq needed
 	crc     uint32            // rolling CRC32C over in-order payloads
 	bytes   uint64            // in-order payload bytes received

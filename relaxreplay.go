@@ -152,14 +152,12 @@ type Config struct {
 	// Memory selects the consistency model of the simulated cores
 	// (RC, TSO or SC).
 	Memory MemoryModel
-	// MaxCycles aborts runaway (deadlocked) workloads.
+	// MaxCycles aborts runaway (deadlocked) workloads with a
+	// *machine.StallError. The simulator ticks every cycle, so a
+	// deadlocked workload spends the whole budget before it reports:
+	// at the 500M default that takes minutes of host time. Lower it
+	// when a stall is a plausible outcome.
 	MaxCycles uint64
-
-	// Shards spreads each cycle's core phase over this many goroutines
-	// (see machine.Config.Shards). Purely a throughput knob: recorded
-	// logs and all statistics are byte-identical to the serial loop.
-	// 0 or 1 means serial.
-	Shards int
 
 	// Hardware geometry (paper Table 1 defaults; exposed for the
 	// ablation studies).
@@ -224,7 +222,6 @@ func (c Config) machineConfig() machine.Config {
 	}
 	m.Telemetry = c.Telemetry
 	m.Faults = c.Faults
-	m.Shards = c.Shards
 	return m
 }
 
