@@ -43,8 +43,8 @@ func BenchmarkPipelineRecord(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }
 
-// BenchmarkPipelineEncode measures serializing a recorded log to the
-// v2 framing, in log bytes produced per second.
+// BenchmarkPipelineEncode measures serializing a recorded log to log
+// format v3, in log bytes produced per second.
 func BenchmarkPipelineEncode(b *testing.B) {
 	rec := benchPipelineRecording(b)
 	var buf bytes.Buffer

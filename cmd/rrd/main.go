@@ -235,7 +235,7 @@ func stream(sw io.Writer, local *os.File, in, app string, cores, scale int, vari
 	}
 	fmt.Printf("recorded %q: %d cores, %d instructions, %d cycles\n",
 		wl.Name, cfg.Cores, rec.Instructions(), rec.Cycles())
-	return rec.WriteLogV3(w)
+	return rec.WriteLog(w)
 }
 
 func statusName(s uint8) string {

@@ -3,12 +3,12 @@
 // Usage:
 //
 //	rrlog -log fft.rrlog [-dump] [-core 3] [-patch] [-stats]
-//	      [-seek core:seq] [-verify] [-repair fixed.rrlog] [-v3]
+//	      [-seek core:seq] [-verify] [-repair fixed.rrlog]
 //	      [-faults spec@seed] [-metrics report.txt] [-trace trace.json]
 //
 // Without -dump it prints summary statistics (per-core interval and
 // entry counts, size accounting, reorder histogram, and — when the log
-// carries a provenance sideband from rrsim -provenance -v3 — a
+// carries a provenance sideband from rrsim -provenance — a
 // per-core termination-cause table; rrtrace analyzes the sideband in
 // depth). With -dump it prints every interval record in a readable
 // form. -stats adds storage
@@ -27,9 +27,8 @@
 // structured corruption summary on stderr and exits non-zero whenever
 // the log is not intact. -verify does only the integrity check (exit 0
 // iff clean); -repair additionally writes the surviving frames back
-// out as a clean, fully-checksummed log — in the v2 framing, or the
-// compressed v3 format with -v3. -faults injects read-side faults
-// (e.g. log.shortread@1) to exercise these paths.
+// out as a clean, fully-checksummed v3 log. -faults injects read-side
+// faults (e.g. log.shortread@1) to exercise these paths.
 package main
 
 import (
@@ -51,7 +50,6 @@ func main() {
 	patch := flag.Bool("patch", false, "apply the patching pass before inspecting")
 	verify := flag.Bool("verify", false, "integrity-check only: report corruption, exit 0 iff the log is intact")
 	repair := flag.String("repair", "", "write the surviving frames to this file as a clean log")
-	repairV3 := flag.Bool("v3", false, "with -repair: write the repaired log in the compressed v3 format")
 	statsFlag := flag.Bool("stats", false, "print storage statistics: encoded v2/v3 sizes and compression ratio")
 	seek := flag.String("seek", "", "core:seq — fetch one interval through the v3 segment index, no full scan")
 	faults := flag.String("faults", "", "inject read-side faults: point[,point...]@seed")
@@ -124,20 +122,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		write := relaxreplay.WriteSalvagedLog
-		format := "v2"
-		if *repairV3 {
-			write = relaxreplay.WriteSalvagedLogV3
-			format = "v3"
-		}
-		if err := write(rf, log); err != nil {
+		if err := relaxreplay.WriteSalvagedLog(rf, log); err != nil {
 			fatal(err)
 		}
 		if err := rf.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("repaired: wrote %d intact interval(s) across %d core(s) to %s (%s)\n",
-			countIntervals(log), len(log.Streams), *repair, format)
+		fmt.Printf("repaired: wrote %d intact interval(s) across %d core(s) to %s (v3)\n",
+			countIntervals(log), len(log.Streams), *repair)
 	}
 	if *verify {
 		if corrupt {

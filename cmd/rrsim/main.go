@@ -5,12 +5,14 @@
 //
 //	rrsim -app fft [-cores 8] [-scale 3] [-variant opt|base]
 //	      [-interval 4k|inf] [-protocol snoopy|directory]
-//	      [-o fft.rrlog] [-v3] [-provenance] [-verify] [-faults spec@seed]
+//	      [-o fft.rrlog] [-provenance] [-verify] [-faults spec@seed]
+//
+// -o writes the log in format v3, compressed and indexed.
 //
 // -provenance captures the per-interval provenance sideband (why each
 // interval terminated, conflicting lines and remote cores, reorder
 // instants, queue occupancy). Capture never changes the interval log;
-// the sideband is persisted in -v3 files and consumed by rrtrace's
+// the sideband is persisted in the -o file and consumed by rrtrace's
 // stall/conflict attribution and rrreplay's divergence forensics.
 //
 // -faults injects deterministic faults (see internal/faultinject):
@@ -46,9 +48,8 @@ func main() {
 	ordering := flag.String("ordering", "quickrec", "interval orderer: quickrec or lamport")
 	model := flag.String("model", "rc", "consistency model of the cores: rc, tso or sc")
 	out := flag.String("o", "", "write the serialized log to this file")
-	outV3 := flag.Bool("v3", false, "write -o in the compressed, indexed v3 format (write-side fault injection applies to v2 only)")
 	verify := flag.Bool("verify", false, "replay the log and verify determinism")
-	prov := flag.Bool("provenance", false, "capture per-interval provenance (termination causes, conflicts, reorder instants); persisted in -v3 logs, consumed by rrtrace and forensics")
+	prov := flag.Bool("provenance", false, "capture per-interval provenance (termination causes, conflicts, reorder instants); persisted in the -o log, consumed by rrtrace and forensics")
 	faults := flag.String("faults", "", "inject faults: point[,point...]@seed, or default@seed")
 	list := flag.Bool("list", false, "list available workloads and exit")
 	flag.Parse()
@@ -174,9 +175,6 @@ func main() {
 			}
 		}
 		fmt.Printf("provenance: %d interval records, %d reorder instants captured\n", recs, reorders)
-		if *out != "" && !*outV3 {
-			fmt.Fprintln(os.Stderr, "rrsim: note: the provenance sideband is only persisted by -v3 logs")
-		}
 	}
 
 	if *verify {
@@ -195,18 +193,12 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		if *outV3 {
-			if err := rec.WriteLogV3(f); err != nil {
-				fatal(err)
-			}
-		} else {
-			applied, err := rec.WriteLogWith(f, inj)
-			if err != nil {
-				fatal(err)
-			}
-			for _, a := range applied {
-				fmt.Printf("fault injected into log bytes: %s\n", a)
-			}
+		applied, err := rec.WriteLogWith(f, inj)
+		if err != nil {
+			fatal(err)
+		}
+		for _, a := range applied {
+			fmt.Printf("fault injected into log bytes: %s\n", a)
 		}
 		st, _ := f.Stat()
 		fmt.Printf("wrote %s (%d bytes on disk)\n", *out, st.Size())

@@ -14,7 +14,7 @@
 //
 // With no mode flag, every analysis section is printed. The stall and
 // conflict sections need the provenance sideband (record with rrsim
-// -provenance -v3); without it they degrade to a note, never an error.
+// -provenance); without it they degrade to a note, never an error.
 //
 // -diff decodes both files (any mix of v1/v2/v3) and compares the
 // decoded structure — header, per-core interval streams entry by
@@ -160,7 +160,7 @@ func printHistograms(log *relaxreplay.Log) {
 // core, from the provenance sideband.
 func printStalls(log *relaxreplay.Log) {
 	if len(log.Provenance) == 0 {
-		fmt.Println("stall attribution: log carries no provenance sideband (record with rrsim -provenance -v3)")
+		fmt.Println("stall attribution: log carries no provenance sideband (record with rrsim -provenance)")
 		fmt.Println()
 		return
 	}
@@ -226,7 +226,7 @@ func printConflicts(log *relaxreplay.Log, topN int) {
 	}
 	if len(byLine) == 0 {
 		if len(log.Provenance) == 0 {
-			fmt.Println("conflict ranking: log carries no provenance sideband (record with rrsim -provenance -v3)")
+			fmt.Println("conflict ranking: log carries no provenance sideband (record with rrsim -provenance)")
 		} else {
 			fmt.Println("conflict ranking: no conflict terminations recorded")
 		}

@@ -7,10 +7,13 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"slices"
 	"strings"
 	"testing"
+
+	"relaxreplay/internal/replaylog"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current recordings")
@@ -76,13 +79,140 @@ func TestGoldenLogDigests(t *testing.T) {
 			t.Fatalf("%s: record: %v", c.name, err)
 		}
 		var buf bytes.Buffer
-		if err := rec.WriteLog(&buf); err != nil {
+		if err := replaylog.Encode(&buf, rec.res.Log); err != nil {
 			t.Fatalf("%s: encode: %v", c.name, err)
 		}
 		sum := sha256.Sum256(buf.Bytes())
 		fmt.Fprintf(&b, "%s %s\n", hex.EncodeToString(sum[:]), c.name)
 	}
 	checkGolden(t, digestFile, b.String())
+}
+
+// v3DigestFile pins the SHA-256 of the v3-encoded log of every case
+// in digestCases, the bytes every writer now produces. It is
+// regenerated like digestFile.
+const v3DigestFile = "testdata/log_v3_digests.golden"
+
+func TestGoldenLogV3Digests(t *testing.T) {
+	var b strings.Builder
+	for _, c := range digestCases() {
+		rec, err := Record(c.cfg, c.w)
+		if err != nil {
+			t.Fatalf("%s: record: %v", c.name, err)
+		}
+		var buf bytes.Buffer
+		if err := replaylog.EncodeV3(&buf, rec.res.Log); err != nil {
+			t.Fatalf("%s: encode: %v", c.name, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		fmt.Fprintf(&b, "%s %s\n", hex.EncodeToString(sum[:]), c.name)
+	}
+	checkGolden(t, v3DigestFile, b.String())
+}
+
+// salvageFile pins what the robust decoder recovers from damaged v2
+// and v3 logs: for a few digestCases logs under each seeded damage,
+// the SHA-256 of the salvaged log (re-encoded as v2) and the
+// CorruptionReport summary. A change to the frame scan, the decode
+// loops or the salvage accounting that moves either fails
+// TestGoldenSalvage.
+const salvageFile = "testdata/salvage_reports.golden"
+
+func TestGoldenSalvage(t *testing.T) {
+	want := map[string]bool{"kernel/lu": true, "litmus/sb": true, "ocean/inf": true}
+	encoders := []struct {
+		name string
+		enc  func(*bytes.Buffer, *replaylog.Log) error
+	}{
+		{"v2", func(b *bytes.Buffer, l *replaylog.Log) error { return replaylog.Encode(b, l) }},
+		{"v3", func(b *bytes.Buffer, l *replaylog.Log) error { return replaylog.EncodeV3(b, l) }},
+	}
+	var b strings.Builder
+	for _, c := range digestCases() {
+		if !want[c.name] {
+			continue
+		}
+		rec, err := Record(c.cfg, c.w)
+		if err != nil {
+			t.Fatalf("%s: record: %v", c.name, err)
+		}
+		for _, e := range encoders {
+			var clean bytes.Buffer
+			if err := e.enc(&clean, rec.res.Log); err != nil {
+				t.Fatalf("%s: encode %s: %v", c.name, e.name, err)
+			}
+			for seed := int64(1); seed <= 2; seed++ {
+				for _, d := range logDamages {
+					bad := d.apply(clean.Bytes(), rand.New(rand.NewSource(seed)), 6)
+					fmt.Fprintf(&b, "%s %s %s/%d %s\n", c.name, e.name, d.name, seed, salvageLine(bad))
+				}
+			}
+		}
+	}
+	checkGolden(t, salvageFile, b.String())
+}
+
+// salvageLine decodes damaged bytes robustly and renders the outcome
+// on one line.
+func salvageLine(data []byte) string {
+	l, rep, err := replaylog.DecodeRobust(bytes.NewReader(data))
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	var re bytes.Buffer
+	digest := "unencodable"
+	if replaylog.Encode(&re, l) == nil {
+		sum := sha256.Sum256(re.Bytes())
+		digest = hex.EncodeToString(sum[:])
+	}
+	return fmt.Sprintf("log=%s report=%s", digest, strings.ReplaceAll(rep.Summary(), "\n", " | "))
+}
+
+// logDamages are the seeded corruptions TestGoldenSalvage applies.
+// Each leaves the first skip bytes (the preamble) alone. dupframe
+// copies the bytes between two consecutive sync words, so it finds
+// frames without parsing a header.
+var logDamages = []struct {
+	name  string
+	apply func(data []byte, rng *rand.Rand, skip int) []byte
+}{
+	{"bitflip", func(data []byte, rng *rand.Rand, skip int) []byte {
+		out := append([]byte(nil), data...)
+		out[skip+rng.Intn(len(out)-skip)] ^= 1 << rng.Intn(8)
+		return out
+	}},
+	{"truncate", func(data []byte, rng *rand.Rand, skip int) []byte {
+		return append([]byte(nil), data[:skip+rng.Intn(len(data)-skip)]...)
+	}},
+	{"splice", func(data []byte, rng *rand.Rand, skip int) []byte {
+		at := skip + rng.Intn(len(data)-skip)
+		junk := make([]byte, 5+rng.Intn(40))
+		rng.Read(junk)
+		// A sync word with a plausible header inside the junk: the
+		// scan must reject it, not trust its length.
+		junk = append(junk, 0xF5, 'R', 'F', '2', byte(1+rng.Intn(8)), byte(rng.Intn(256)), 0, 0, 0)
+		out := append([]byte(nil), data[:at]...)
+		out = append(out, junk...)
+		return append(out, data[at:]...)
+	}},
+	{"dupframe", func(data []byte, rng *rand.Rand, skip int) []byte {
+		sync := []byte{0xF5, 'R', 'F', '2'}
+		var starts []int
+		for i := skip; ; {
+			j := bytes.Index(data[i:], sync)
+			if j < 0 {
+				break
+			}
+			starts = append(starts, i+j)
+			i += j + 1
+		}
+		starts = append(starts, len(data))
+		k := rng.Intn(len(starts) - 1)
+		frame := data[starts[k]:starts[k+1]]
+		out := append([]byte(nil), data[:starts[k+1]]...)
+		out = append(out, frame...)
+		return append(out, data[starts[k+1]:]...)
+	}},
 }
 
 // replayFile pins Recording.Replay's outcome for every case in

@@ -136,8 +136,10 @@ func Run() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// encode/decode time the v2 writer, as every earlier BENCH file
+	// did, so the history compares like with like.
 	var encoded bytes.Buffer
-	if err := rec.WriteLog(&encoded); err != nil {
+	if err := replaylog.Encode(&encoded, rec.Log()); err != nil {
 		return nil, err
 	}
 
@@ -170,7 +172,7 @@ func Run() (*Report, error) {
 		b.SetBytes(int64(encoded.Len()))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := rec.WriteLog(io.Discard); err != nil {
+			if err := replaylog.Encode(io.Discard, rec.Log()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -226,11 +226,12 @@ func (s *Suite) chaosCell(app, point string, inj *faultinject.Injector) (cell Ch
 		}
 	}
 
-	// Encode under the injector (dupframe), corrupt the bytes (bitflip
-	// / truncate / shortwrite), read through the injector (shortread):
-	// the same hostile pipeline rrlog and replay face in the field.
+	// Encode v3 under the injector (dupframe), corrupt the bytes
+	// (bitflip / truncate / shortwrite), read through the injector
+	// (shortread): the same hostile pipeline rrlog and replay face in
+	// the field.
 	var buf bytes.Buffer
-	if err := replaylog.EncodeWith(&buf, res.Log, cinj); err != nil {
+	if err := replaylog.EncodeV3With(&buf, res.Log, replaylog.V3Options{}, cinj); err != nil {
 		cell.Outcome = OutcomeError
 		cell.Detail = chaosDetail("encode: " + err.Error())
 		return cell
@@ -305,22 +306,22 @@ func (s *Suite) chaosCell(app, point string, inj *faultinject.Injector) (cell Ch
 	return cell
 }
 
-// chaosBaselineCell is the no-fault control: the v2 encoder with a
-// nil/disabled injector must be byte-identical to plain Encode (run to
-// run and path to path), and the cached replay must verify.
+// chaosBaselineCell is the no-fault control: the v3 encoder with a
+// nil injector must be byte-identical to plain EncodeV3 (run to run
+// and path to path), and the cached replay must verify.
 func (s *Suite) chaosBaselineCell(cell ChaosCell, base *Run) ChaosCell {
 	var plain, with1, with2 bytes.Buffer
-	if err := replaylog.Encode(&plain, base.Res.Log); err != nil {
+	if err := replaylog.EncodeV3(&plain, base.Res.Log); err != nil {
 		cell.Outcome = OutcomeError
 		cell.Detail = chaosDetail(err.Error())
 		return cell
 	}
-	if err := replaylog.EncodeWith(&with1, base.Res.Log, nil); err != nil {
+	if err := replaylog.EncodeV3With(&with1, base.Res.Log, replaylog.V3Options{}, nil); err != nil {
 		cell.Outcome = OutcomeError
 		cell.Detail = chaosDetail(err.Error())
 		return cell
 	}
-	if err := replaylog.EncodeWith(&with2, base.Res.Log, nil); err != nil {
+	if err := replaylog.EncodeV3With(&with2, base.Res.Log, replaylog.V3Options{}, nil); err != nil {
 		cell.Outcome = OutcomeError
 		cell.Detail = chaosDetail(err.Error())
 		return cell

@@ -69,7 +69,7 @@ func TestNetChaosGridClassifiesEveryCell(t *testing.T) {
 
 // The end-to-end byte-identity acceptance: a real recording streamed
 // through the client/server pair — under transport faults that force
-// retries — journals byte-identical to the local WriteLogV3 output,
+// retries — journals byte-identical to the local WriteLog output,
 // and the journal export round-trips through the v3 decoder.
 func TestStreamedSessionMatchesLocalLog(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{Shards: 2})
@@ -145,7 +145,7 @@ func TestStreamedSessionMatchesLocalLog(t *testing.T) {
 		t.Fatal("session 4242 not journaled")
 	}
 	if !bytes.Equal(sess.Data, local.Bytes()) {
-		t.Fatalf("journaled bytes differ from local WriteLogV3 output: %d vs %d bytes",
+		t.Fatalf("journaled bytes differ from local WriteLog output: %d vs %d bytes",
 			len(sess.Data), local.Len())
 	}
 	if err := sess.Verify(); err != nil {

@@ -12,7 +12,8 @@ import (
 // a silently truncated log — the one failure mode the robustness PR
 // forbids. Flagged: a call whose error result is discarded (expression
 // statement, or assigned to _) when the callee is (a) any function of
-// package replaylog returning an error, (b) any Flush method returning
+// package replaylog, or of package frame (the frame writer under it),
+// returning an error, (b) any Flush method returning
 // an error (bufio.Writer and friends), or (c) Close / SetDeadline /
 // SetReadDeadline / SetWriteDeadline on a net.Conn-shaped receiver.
 // A dropped Close on a socket hides the write error TCP only surfaces
@@ -23,7 +24,7 @@ import (
 
 var errcheckIOCheck = &Check{
 	Name: "errcheck-io",
-	Doc:  "no discarded errors from replaylog encode/decode or Flush on the log write path",
+	Doc:  "no discarded errors from replaylog encode/decode, frame writes or Flush on the log write path",
 	Run: func(pass *Pass) {
 		for _, pkg := range pass.Prog.Pkgs {
 			for _, f := range pkg.Files {
@@ -54,14 +55,17 @@ var errcheckIOCheck = &Check{
 }
 
 // ioErrCall reports why a call is on the checked IO surface ("" when
-// it is not): a replaylog function or a Flush method, returning error.
+// it is not): a replaylog or frame function, a Flush method, or a
+// conn method, returning error.
 func ioErrCall(pkg *Package, call *ast.CallExpr) string {
 	obj := calleeObj(pkg, call)
 	if obj == nil || !lastResultIsError(pkg, call) {
 		return ""
 	}
-	if pkgPathIs(objPkgPath(obj), "replaylog") {
-		return "replaylog." + obj.Name()
+	for _, pkgName := range []string{"replaylog", "frame"} {
+		if pkgPathIs(objPkgPath(obj), pkgName) {
+			return pkgName + "." + obj.Name()
+		}
 	}
 	if obj.Name() == "Flush" && isMethod(obj) {
 		return recvTypeName(obj) + ".Flush"

@@ -194,8 +194,8 @@ func TestRunUnknownCheck(t *testing.T) {
 }
 
 // TestRepoIsLintClean is the regression test for the violations this
-// suite surfaced and fixed (the discarded EncodeWith error in the
-// chaos baseline, the mis-shaped metric-name literals): the entire
+// suite surfaced and fixed (a discarded encoder error in the chaos
+// baseline, the mis-shaped metric-name literals): the entire
 // repository must stay clean under every check.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {

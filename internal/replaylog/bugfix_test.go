@@ -11,7 +11,7 @@ import (
 // under-counted by one per corrupted frame.
 func TestBytesSkippedExactOnCRCMismatch(t *testing.T) {
 	run := func(t *testing.T, data []byte) {
-		frames := scanFrames(t, data)
+		frames := frameSpans(t, data)
 		var iv frameSpan
 		found := false
 		for _, f := range frames {

@@ -3,20 +3,21 @@ package replaylog
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
+	"compress/flate"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"runtime"
+	"sync"
 
-	"relaxreplay/internal/faultinject"
+	"relaxreplay/internal/frame"
 )
 
 // Binary serialization of a Log. The on-disk format is byte-aligned
 // and therefore larger than the uncompressed-bit accounting used for
-// Figure 11; SizeBits remains the metric of record. Format v2 (see
-// format.go and DESIGN.md) wraps everything in CRC32C-checked frames;
-// Decode still reads v1 files written before the framing existed.
+// Figure 11; SizeBits remains the metric of record. Every format since
+// v2 (see format.go and DESIGN.md) wraps everything in the CRC32C
+// frames of internal/frame. EncodeV3 (v3.go) is the writer every tool
+// uses; Encode still writes v2, for tests that pin v2 bytes and for
+// v3-versus-v2 size comparisons. The decoders read v1, v2 and v3.
 
 var magic = [4]byte{'R', 'R', 'L', 'G'}
 
@@ -26,35 +27,156 @@ const (
 	formatV3 = 3
 )
 
-// payload is a little-endian frame-payload builder.
-type payload struct{ bytes.Buffer }
+// encoder is the reusable state of one Encode or EncodeV3 call: the
+// frame being written, the payload being built and, for v3, the group
+// pipeline. It is pooled, so a steady stream of encodes allocates no
+// buffers per frame or per call. count is the running frame total the
+// end frame publishes, so the decoders can detect whole frames
+// vanishing without a trace; off is the byte offset of the next frame
+// after the preamble (the v3 index records it).
+type encoder struct {
+	bw    *bufio.Writer
+	out   []byte    // the frame being written (frame.Append's scratch)
+	p     frame.Buf // the payload being built
+	count uint32
+	off   int64
+	err   error
 
-func (p *payload) u8(v uint8)   { p.WriteByte(v) }
-func (p *payload) u16(v uint16) { var b [2]byte; binary.LittleEndian.PutUint16(b[:], v); p.Write(b[:]) }
-func (p *payload) u32(v uint32) { var b [4]byte; binary.LittleEndian.PutUint32(b[:], v); p.Write(b[:]) }
-func (p *payload) u64(v uint64) { var b [8]byte; binary.LittleEndian.PutUint64(b[:], v); p.Write(b[:]) }
+	// v3 group pipeline (v3.go).
+	body       frame.Buf    // delta/varint group body
+	comp       bytes.Buffer // flate output
+	group      frame.Buf    // flags | core | body
+	fl         *flate.Writer
+	noCompress bool
+}
 
-func (p *payload) entry(e Entry) error {
-	p.u8(uint8(e.Type))
+var encoderPool sync.Pool
+
+// maxPooledBuf caps the buffers a pooled encoder or inflater keeps:
+// one grown past it by a large or hostile log is dropped, so the pools
+// cannot pin up to MaxFrameLen per entry.
+const maxPooledBuf = 1 << 20
+
+// newEncoder takes a pooled encoder and starts a file of the given
+// format version on w.
+func newEncoder(w io.Writer, version uint16) *encoder {
+	enc, _ := encoderPool.Get().(*encoder)
+	if enc == nil {
+		enc = &encoder{}
+	}
+	enc.bw = bufio.NewWriter(w)
+	enc.count, enc.off, enc.err = 0, 0, nil
+	enc.p.Reset()
+	enc.p.Raw(magic[:])
+	enc.p.U16(version)
+	_, enc.err = enc.bw.Write(enc.p.Bytes())
+	return enc
+}
+
+// release returns enc to the pool.
+func (enc *encoder) release() {
+	enc.bw = nil
+	if cap(enc.out) > maxPooledBuf {
+		enc.out = nil
+	}
+	for _, b := range [...]*frame.Buf{&enc.p, &enc.body, &enc.group} {
+		if b.Cap() > maxPooledBuf {
+			*b = frame.Buf{}
+		}
+	}
+	if enc.comp.Cap() > maxPooledBuf {
+		enc.comp = bytes.Buffer{}
+	}
+	encoderPool.Put(enc)
+}
+
+// frame writes one frame carrying body. The first error sticks and
+// turns every later call into a no-op; finish reports it.
+//
+//rrlint:hotpath
+func (enc *encoder) frame(t FrameType, body []byte) {
+	if enc.err != nil {
+		return
+	}
+	out, err := frame.Append(enc.out[:0], uint8(t), body, MaxFrameLen)
+	if err != nil {
+		enc.err = fmt.Errorf("%w: %v %w", ErrOversizeFrame, t, err) //rrlint:allow hotpath-alloc (terminal error path)
+		return
+	}
+	enc.out = out
+	if _, err := enc.bw.Write(out); err != nil {
+		enc.err = err
+		return
+	}
+	enc.count++
+	enc.off += int64(len(out))
+}
+
+// finish flushes the file, returning the encode's first error.
+func (enc *encoder) finish() error {
+	if enc.err != nil {
+		return enc.err
+	}
+	return enc.bw.Flush()
+}
+
+// headerFrames writes the header frame and one inputs frame per core,
+// the part of the file v2 and v3 share.
+func (enc *encoder) headerFrames(l *Log) {
+	p := &enc.p
+	p.Reset()
+	patched := uint8(0)
+	if l.Patched {
+		patched = 1
+	}
+	p.U32(uint32(l.Cores))
+	p.U8(patched)
+	p.U32(uint32(len(l.Inputs)))
+	p.Str(l.Variant)
+	enc.frame(FrameHeader, p.Bytes())
+
+	for c, in := range l.Inputs {
+		p.Reset()
+		p.U32(uint32(c))
+		p.U32(uint32(len(in)))
+		for _, v := range in {
+			p.U64(v)
+		}
+		enc.frame(FrameInputs, p.Bytes())
+	}
+}
+
+// streamFrame writes the frame that declares a core's interval count.
+func (enc *encoder) streamFrame(s *CoreLog) {
+	enc.p.Reset()
+	enc.p.U32(uint32(s.Core))
+	enc.p.U32(uint32(len(s.Intervals)))
+	enc.frame(FrameStream, enc.p.Bytes())
+}
+
+// putEntry appends one entry in the fixed-width encoding v1 and v2
+// share.
+func putEntry(p *frame.Buf, e Entry) error {
+	p.U8(uint8(e.Type))
 	switch e.Type {
 	case InorderBlock:
-		p.u32(e.Size)
+		p.U32(e.Size)
 	case ReorderedLoad:
-		p.u64(e.Value)
+		p.U64(e.Value)
 	case ReorderedStore, PatchedStore:
-		p.u64(e.Addr)
-		p.u64(e.Value)
-		p.u16(e.Offset)
+		p.U64(e.Addr)
+		p.U64(e.Value)
+		p.U16(e.Offset)
 	case ReorderedAtomic:
-		p.u64(e.Addr)
-		p.u64(e.Value)
-		p.u64(e.StoreValue)
-		p.u16(e.Offset)
+		p.U64(e.Addr)
+		p.U64(e.Value)
+		p.U64(e.StoreValue)
+		p.U16(e.Offset)
 		w := uint8(0)
 		if e.DidWrite {
 			w = 1
 		}
-		p.u8(w)
+		p.U8(w)
 	case Dummy:
 	default:
 		return fmt.Errorf("replaylog: cannot encode entry type %v", e.Type)
@@ -62,143 +184,42 @@ func (p *payload) entry(e Entry) error {
 	return nil
 }
 
-// frameWriter emits checksummed v2/v3 frames. count is the running
-// frame total that the end frame publishes so the decoders can detect
-// whole frames vanishing without a trace; off is the byte offset of
-// the next frame from the start of the file (the v3 encoder reads it
-// to build the segment index). The header/trailer scratch arrays
-// live in the struct: stack-local arrays would escape through the
-// io.Writer call inside bufio.Writer and turn every frame into two
-// heap allocations (this is the encoder's per-interval path).
-type frameWriter struct {
-	w     *bufio.Writer
-	count uint32
-	off   int64
-	err   error
-	hdr   [9]byte
-	tail  [4]byte
-}
-
-// frame writes one checksummed frame, refusing payloads the u32 length
-// field (clamped far tighter by MaxFrameLen) could not represent.
-//
-//rrlint:hotpath
-func (fw *frameWriter) frame(t FrameType, body []byte) {
-	if fw.err != nil {
-		return
-	}
-	if len(body) > MaxFrameLen {
-		fw.err = fmt.Errorf("%w: %v frame payload is %d bytes (limit %d)", ErrOversizeFrame, t, len(body), MaxFrameLen) //rrlint:allow hotpath-alloc (terminal error path)
-		return
-	}
-	copy(fw.hdr[:4], frameSync[:])
-	fw.hdr[4] = uint8(t)
-	binary.LittleEndian.PutUint32(fw.hdr[5:], uint32(len(body)))
-	crc := crc32.Update(0, castagnoli, fw.hdr[4:])
-	crc = crc32.Update(crc, castagnoli, body)
-	binary.LittleEndian.PutUint32(fw.tail[:], crc)
-	if _, err := fw.w.Write(fw.hdr[:]); err != nil {
-		fw.err = err
-		return
-	}
-	if _, err := fw.w.Write(body); err != nil {
-		fw.err = err
-		return
-	}
-	if _, err := fw.w.Write(fw.tail[:]); err != nil {
-		fw.err = err
-		return
-	}
-	fw.count++
-	fw.off += int64(len(fw.hdr) + len(body) + len(fw.tail))
-}
-
-// Encode writes the log to w in format v2.
-func Encode(w io.Writer, l *Log) error { return EncodeWith(w, l, nil) }
-
-// EncodeWith is Encode with a fault injector attached: the
-// log.dupframe point, when armed, makes the encoder emit one interval
-// frame twice (the duplicated-frame fault the robust decoder must
-// absorb). A nil injector encodes byte-identically to Encode.
-func EncodeWith(w io.Writer, l *Log, inj *faultinject.Injector) error {
+// Encode writes the log to w in format v2: one frame per interval.
+func Encode(w io.Writer, l *Log) error {
 	if err := checkEncodeCounts(l); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var ver [2]byte
-	binary.LittleEndian.PutUint16(ver[:], formatV2)
-	if _, err := bw.Write(ver[:]); err != nil {
-		return err
-	}
-	fw := &frameWriter{w: bw}
-
-	var p payload
-	patched := uint8(0)
-	if l.Patched {
-		patched = 1
-	}
-	p.u32(uint32(l.Cores))
-	p.u8(patched)
-	p.u32(uint32(len(l.Inputs)))
-	p.u16(uint16(len(l.Variant)))
-	p.WriteString(l.Variant)
-	fw.frame(FrameHeader, p.Bytes())
-
-	for c, in := range l.Inputs {
-		p.Reset()
-		p.u32(uint32(c))
-		p.u32(uint32(len(in)))
-		for _, v := range in {
-			p.u64(v)
-		}
-		fw.frame(FrameInputs, p.Bytes())
-	}
-
-	total := uint64(0)
-	for _, s := range l.Streams {
-		total += uint64(len(s.Intervals))
-	}
-	inj.ArmWithin(faultinject.LogDupFrame, total)
-
-	for _, s := range l.Streams {
-		p.Reset()
-		p.u32(uint32(s.Core))
-		p.u32(uint32(len(s.Intervals)))
-		fw.frame(FrameStream, p.Bytes())
+	enc := newEncoder(w, formatV2)
+	defer enc.release()
+	enc.headerFrames(l)
+	p := &enc.p
+	for si := range l.Streams {
+		s := &l.Streams[si]
+		enc.streamFrame(s)
 		for i := range s.Intervals {
 			iv := &s.Intervals[i]
 			p.Reset()
-			p.u32(uint32(s.Core))
-			p.u64(iv.Seq)
-			p.u64(iv.Timestamp)
-			p.u32(uint32(len(iv.Entries)))
-			p.u32(uint32(len(iv.Preds)))
+			p.U32(uint32(s.Core))
+			p.U64(iv.Seq)
+			p.U64(iv.Timestamp)
+			p.U32(uint32(len(iv.Entries)))
+			p.U32(uint32(len(iv.Preds)))
 			for _, e := range iv.Entries {
-				if err := p.entry(e); err != nil {
+				if err := putEntry(p, e); err != nil {
 					return err
 				}
 			}
 			for _, pr := range iv.Preds {
-				p.u32(uint32(pr.Core))
-				p.u64(pr.Seq)
+				p.U32(uint32(pr.Core))
+				p.U64(pr.Seq)
 			}
-			fw.frame(FrameInterval, p.Bytes())
-			if inj.Fire(faultinject.LogDupFrame) {
-				fw.frame(FrameInterval, p.Bytes())
-			}
+			enc.frame(FrameInterval, p.Bytes())
 		}
 	}
-
 	p.Reset()
-	p.u32(fw.count)
-	fw.frame(FrameEnd, p.Bytes())
-	if fw.err != nil {
-		return fw.err
-	}
-	return bw.Flush()
+	p.U32(enc.count)
+	enc.frame(FrameEnd, p.Bytes())
+	return enc.finish()
 }
 
 // checkEncodeCounts rejects, before a single byte is written, every
@@ -241,631 +262,4 @@ func checkEncodeCounts(l *Log) error {
 		}
 	}
 	return nil
-}
-
-// EncodeV1 writes the pre-framing format, kept so tests can exercise
-// the v1 decode path against freshly-written v1 bytes (and as an
-// escape hatch for tooling that needs the old layout).
-func EncodeV1(w io.Writer, l *Log) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	put := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	patched := uint8(0)
-	if l.Patched {
-		patched = 1
-	}
-	if err := put(uint16(formatV1), uint32(l.Cores), patched, uint16(len(l.Variant))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(l.Variant); err != nil {
-		return err
-	}
-	if err := put(uint32(len(l.Inputs))); err != nil {
-		return err
-	}
-	for _, in := range l.Inputs {
-		if err := put(uint32(len(in))); err != nil {
-			return err
-		}
-		for _, v := range in {
-			if err := put(v); err != nil {
-				return err
-			}
-		}
-	}
-	if err := put(uint32(len(l.Streams))); err != nil {
-		return err
-	}
-	for _, s := range l.Streams {
-		if err := put(uint32(s.Core), uint32(len(s.Intervals))); err != nil {
-			return err
-		}
-		for _, iv := range s.Intervals {
-			if err := put(iv.Seq, iv.Timestamp, uint32(len(iv.Entries)), uint32(len(iv.Preds))); err != nil {
-				return err
-			}
-			var p payload
-			for _, e := range iv.Entries {
-				if err := p.entry(e); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.Write(p.Bytes()); err != nil {
-				return err
-			}
-			for _, pr := range iv.Preds {
-				if err := put(uint32(pr.Core), pr.Seq); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// Decode reads a log written by Encode (v2) or EncodeV1, failing on
-// any corruption or truncation with a typed error (ErrCorruptFrame /
-// ErrTruncated for v2). Use DecodeRobust to recover what a damaged
-// stream still holds.
-func Decode(r io.Reader) (*Log, error) {
-	l, rep, err := DecodeRobust(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// DecodeRobust reads a possibly-damaged log: it verifies every frame
-// checksum, resynchronizes past corruption, drops duplicate frames,
-// enforces the format's allocation clamps, and returns whatever
-// decoded cleanly together with a CorruptionReport describing what
-// did not. The error is non-nil only when nothing was recoverable
-// (unreadable source, bad magic, unknown version).
-func DecodeRobust(r io.Reader) (*Log, *CorruptionReport, error) {
-	return decodeReader(r, 1)
-}
-
-// DecodeParallel is DecodeRobust with the v3 per-core decode fanned
-// out across GOMAXPROCS goroutines: after one sequential scan pass
-// partitions the frames, each core's group frames decompress and
-// decode concurrently, and the merge is deterministic — the returned
-// log and report are identical to DecodeRobust's on the same bytes.
-// v1/v2 streams have no per-core partitioning and decode sequentially.
-func DecodeParallel(r io.Reader) (*Log, *CorruptionReport, error) {
-	return decodeReader(r, runtime.GOMAXPROCS(0))
-}
-
-func decodeReader(r io.Reader, workers int) (*Log, *CorruptionReport, error) {
-	data, err := io.ReadAll(r)
-	if err != nil && len(data) == 0 {
-		return nil, nil, err
-	}
-	// A short read behind us is damage in front of us: decode what
-	// arrived; the report will show the loss.
-	if len(data) < 6 {
-		return nil, nil, fmt.Errorf("%w: %d-byte stream (no header)", ErrTruncated, len(data))
-	}
-	if [4]byte(data[:4]) != magic {
-		return nil, nil, fmt.Errorf("replaylog: bad magic %q", data[:4])
-	}
-	switch version := binary.LittleEndian.Uint16(data[4:6]); version {
-	case formatV1:
-		return decodeV1(data[6:])
-	case formatV2:
-		return decodeV2(data[6:])
-	case formatV3:
-		return decodeV3(data[6:], workers)
-	default:
-		return nil, nil, fmt.Errorf("replaylog: unsupported version %d", version)
-	}
-}
-
-// byteReader is a bounds-checked little-endian cursor over untrusted
-// bytes. Reads past the end set short and return zero values.
-type byteReader struct {
-	data  []byte
-	pos   int
-	short bool
-}
-
-func (b *byteReader) remaining() int { return len(b.data) - b.pos }
-
-func (b *byteReader) take(n int) []byte {
-	if b.remaining() < n {
-		b.short = true
-		b.pos = len(b.data)
-		return nil
-	}
-	out := b.data[b.pos : b.pos+n]
-	b.pos += n
-	return out
-}
-
-func (b *byteReader) u8() uint8 {
-	s := b.take(1)
-	if s == nil {
-		return 0
-	}
-	return s[0]
-}
-
-func (b *byteReader) u16() uint16 {
-	s := b.take(2)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(s)
-}
-
-func (b *byteReader) u32() uint32 {
-	s := b.take(4)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(s)
-}
-
-func (b *byteReader) u64() uint64 {
-	s := b.take(8)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(s)
-}
-
-// uvarint reads an unsigned varint (v3 fields). A malformed or
-// overlong encoding sets short, like any other truncated read.
-func (b *byteReader) uvarint() uint64 {
-	v, n := binary.Uvarint(b.data[b.pos:])
-	if n <= 0 {
-		b.short = true
-		b.pos = len(b.data)
-		return 0
-	}
-	b.pos += n
-	return v
-}
-
-// svarint reads a zigzag-encoded signed varint (v3 address deltas).
-func (b *byteReader) svarint() int64 {
-	u := b.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// entry decodes one log entry; the bool is false on a short or
-// unknown-type read.
-func (b *byteReader) entry() (Entry, bool) {
-	var e Entry
-	e.Type = EntryType(b.u8())
-	switch e.Type {
-	case InorderBlock:
-		e.Size = b.u32()
-	case ReorderedLoad:
-		e.Value = b.u64()
-	case ReorderedStore, PatchedStore:
-		e.Addr = b.u64()
-		e.Value = b.u64()
-		e.Offset = b.u16()
-	case ReorderedAtomic:
-		e.Addr = b.u64()
-		e.Value = b.u64()
-		e.StoreValue = b.u64()
-		e.Offset = b.u16()
-		e.DidWrite = b.u8() != 0
-	case Dummy:
-	default:
-		return e, false
-	}
-	return e, !b.short
-}
-
-// decodeV2 scans the framed format. pre-condition: data starts right
-// after the 6-byte preamble.
-func decodeV2(data []byte) (*Log, *CorruptionReport, error) {
-	rep := &CorruptionReport{Version: 2}
-	l := &Log{}
-	headerSeen := false
-	type streamState struct {
-		idx      int // index into l.Streams
-		declared int // interval count from the stream frame; -1 unknown
-		lastSeq  uint64
-		hasSeq   bool
-	}
-	streams := map[int]*streamState{}
-	inputSeen := map[int]bool{}
-	stream := func(core int) *streamState {
-		st := streams[core]
-		if st == nil {
-			st = &streamState{idx: len(l.Streams), declared: -1}
-			streams[core] = st
-			l.Streams = append(l.Streams, CoreLog{Core: core})
-		}
-		return st
-	}
-
-	const minFrame = 13 // sync(4) + type(1) + length(4) + crc(4)
-	pos, encountered, sawEnd := 0, 0, false
-	endCount := uint32(0)
-	for pos+minFrame <= len(data) {
-		if !bytes.Equal(data[pos:pos+4], frameSync[:]) {
-			pos++
-			rep.BytesSkipped++
-			continue
-		}
-		typ := FrameType(data[pos+4])
-		length := binary.LittleEndian.Uint32(data[pos+5 : pos+9])
-		end := pos + 9 + int(length) + 4
-		if typ < FrameHeader || typ > FrameEnd || length > MaxFrameLen || end > len(data) {
-			// Corrupt type/length (or a false sync inside a payload):
-			// not a frame boundary we can trust. Resync byte by byte.
-			pos++
-			rep.BytesSkipped++
-			continue
-		}
-		body := data[pos+4 : end-4]
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[end-4:end]) {
-			fe := FrameError{Offset: int64(pos + 6), Type: typ, Core: -1, Reason: "crc mismatch"}
-			nameFrame(&fe, typ, data[pos+9:end-4])
-			rep.note(fe)
-			encountered++
-			// The length field is part of what failed the checksum, so
-			// the claimed frame end cannot be trusted either: resync.
-			pos++
-			rep.BytesSkipped++
-			continue
-		}
-		encountered++
-		br := &byteReader{data: data[pos+9 : end-4]}
-		drop := func(reason string) {
-			fe := FrameError{Offset: int64(pos + 6), Type: typ, Core: -1, Reason: reason}
-			nameFrame(&fe, typ, br.data)
-			rep.note(fe)
-		}
-		switch typ {
-		case FrameHeader:
-			cores := br.u32()
-			patched := br.u8()
-			ninputs := br.u32()
-			vlen := br.u16()
-			switch {
-			case br.short:
-				drop("short header")
-			case cores > MaxCores:
-				drop(fmt.Sprintf("core count %d exceeds limit %d", cores, MaxCores))
-			case ninputs > MaxCores:
-				drop(fmt.Sprintf("input-stream count %d exceeds limit %d", ninputs, MaxCores))
-			case vlen > MaxVariantLen || int(vlen) > br.remaining():
-				drop(fmt.Sprintf("variant length %d exceeds frame", vlen))
-			case headerSeen:
-				rep.DupFrames++
-			default:
-				headerSeen = true
-				l.Cores = int(cores)
-				l.Patched = patched != 0
-				l.Variant = string(br.take(int(vlen)))
-				if ninputs > 0 {
-					l.Inputs = make([][]uint64, ninputs)
-				}
-			}
-		case FrameInputs:
-			core := br.u32()
-			count := br.u32()
-			switch {
-			case br.short:
-				drop("short inputs frame")
-			case core >= MaxCores:
-				drop(fmt.Sprintf("core %d exceeds limit", core))
-			case int(count)*8 > br.remaining():
-				drop(fmt.Sprintf("input count %d exceeds frame", count))
-			case inputSeen[int(core)]:
-				rep.DupFrames++
-			default:
-				inputSeen[int(core)] = true
-				for int(core) >= len(l.Inputs) {
-					l.Inputs = append(l.Inputs, nil)
-				}
-				var in []uint64
-				for j := uint32(0); j < count; j++ {
-					in = append(in, br.u64())
-				}
-				l.Inputs[core] = in
-			}
-		case FrameStream:
-			core := br.u32()
-			nivs := br.u32()
-			switch {
-			case br.short:
-				drop("short stream frame")
-			case core >= MaxCores:
-				drop(fmt.Sprintf("core %d exceeds limit", core))
-			case nivs > MaxIntervalsPerCore:
-				drop(fmt.Sprintf("interval count %d exceeds limit", nivs))
-			case streams[int(core)] != nil && streams[int(core)].declared >= 0:
-				rep.DupFrames++
-			default:
-				stream(int(core)).declared = int(nivs)
-			}
-		case FrameInterval:
-			core := br.u32()
-			seq := br.u64()
-			ts := br.u64()
-			nent := br.u32()
-			npred := br.u32()
-			if br.short || core >= MaxCores ||
-				nent > MaxEntriesPerInterval || int(nent) > br.remaining() ||
-				npred > MaxPredsPerInterval {
-				drop("corrupt interval frame header")
-				break
-			}
-			iv := Interval{Seq: seq, CISN: uint16(seq), Timestamp: ts}
-			ok := true
-			for j := uint32(0); j < nent && ok; j++ {
-				var e Entry
-				e, ok = br.entry()
-				if ok {
-					iv.Entries = append(iv.Entries, e)
-				}
-			}
-			if !ok || int(npred)*12 > br.remaining() {
-				drop("corrupt interval entries")
-				break
-			}
-			for j := uint32(0); j < npred; j++ {
-				iv.Preds = append(iv.Preds, Pred{Core: int(br.u32()), Seq: br.u64()})
-			}
-			if br.remaining() != 0 {
-				drop(fmt.Sprintf("%d trailing bytes in interval frame", br.remaining()))
-				break
-			}
-			st := stream(int(core))
-			if st.hasSeq && seq <= st.lastSeq {
-				rep.DupFrames++
-				break
-			}
-			st.hasSeq, st.lastSeq = true, seq
-			l.Streams[st.idx].Intervals = append(l.Streams[st.idx].Intervals, iv)
-		case FrameEnd:
-			n := br.u32()
-			switch {
-			case br.short:
-				drop("short end frame")
-			case sawEnd:
-				rep.DupFrames++
-			default:
-				sawEnd = true
-				endCount = n
-			}
-		}
-		pos = end
-	}
-
-	if !sawEnd {
-		rep.Truncated = true
-	} else {
-		// encountered counts the end frame itself; endCount does not.
-		if encountered-1 < int(endCount) {
-			rep.Truncated = true // whole frames vanished without a trace
-		}
-		if pos < len(data) {
-			rep.BytesSkipped += int64(len(data) - pos)
-		}
-	}
-	for core, st := range streams {
-		if st.declared >= 0 {
-			if got := len(l.Streams[st.idx].Intervals); got < st.declared {
-				rep.MissingIntervals += st.declared - got
-			}
-		}
-		_ = core
-	}
-	if !headerSeen {
-		rep.HeaderLost = true
-		inferHeader(l)
-	}
-	return l, rep, nil
-}
-
-// nameFrame extracts best-effort identity (core, interval seq) from a
-// frame payload whose checksum failed or whose body did not parse, so
-// the report can say *which* frame was lost.
-func nameFrame(fe *FrameError, typ FrameType, body []byte) {
-	br := &byteReader{data: body}
-	switch typ {
-	case FrameInputs, FrameStream, FrameInterval:
-		core := br.u32()
-		if !br.short && core < MaxCores {
-			fe.Core = int(core)
-		}
-		if typ == FrameInterval {
-			seq := br.u64()
-			if !br.short {
-				fe.Seq = seq
-			}
-		}
-	case FrameIvGroup:
-		br.u8() // flags
-		core := br.uvarint()
-		if !br.short && core < MaxCores {
-			fe.Core = int(core)
-		}
-	case FrameProvenance:
-		br.u8() // version
-		core := br.uvarint()
-		if !br.short && core < MaxCores {
-			fe.Core = int(core)
-		}
-	}
-}
-
-// inferHeader reconstructs the header-carried fields of a log whose
-// header frame was lost, from the frames that survived.
-func inferHeader(l *Log) {
-	maxCore := -1
-	for _, s := range l.Streams {
-		if s.Core > maxCore {
-			maxCore = s.Core
-		}
-	}
-	for c := range l.Inputs {
-		if c > maxCore {
-			maxCore = c
-		}
-	}
-	l.Cores = maxCore + 1
-	for _, s := range l.Streams {
-		for _, iv := range s.Intervals {
-			for _, e := range iv.Entries {
-				switch e.Type {
-				case PatchedStore, Dummy:
-					l.Patched = true
-					return
-				case ReorderedStore, ReorderedAtomic:
-					return // definitely unpatched
-				}
-			}
-		}
-	}
-}
-
-// decodeV1 parses the pre-framing format, committing each fully-
-// parsed structure so a torn v1 stream still yields its intact
-// prefix. Every count field is clamped before use.
-func decodeV1(data []byte) (*Log, *CorruptionReport, error) {
-	rep := &CorruptionReport{Version: 1}
-	l := &Log{}
-	br := &byteReader{data: data}
-	fail := func(reason string) (*Log, *CorruptionReport, error) {
-		if br.short {
-			rep.Truncated = true
-		} else {
-			rep.note(FrameError{Offset: int64(6 + br.pos), Type: FrameInvalid, Core: -1, Reason: reason})
-		}
-		return l, rep, nil
-	}
-
-	cores := br.u32()
-	patched := br.u8()
-	vlen := br.u16()
-	if br.short {
-		return fail("short header")
-	}
-	if cores > MaxCores {
-		return fail(fmt.Sprintf("core count %d exceeds limit %d", cores, MaxCores))
-	}
-	if vlen > MaxVariantLen {
-		return fail(fmt.Sprintf("variant length %d exceeds limit %d", vlen, MaxVariantLen))
-	}
-	vb := br.take(int(vlen))
-	if br.short {
-		return fail("short variant")
-	}
-	l.Cores = int(cores)
-	l.Patched = patched != 0
-	l.Variant = string(vb)
-
-	nin := br.u32()
-	if br.short {
-		return fail("missing input table")
-	}
-	if nin > MaxCores {
-		return fail(fmt.Sprintf("input-stream count %d exceeds limit %d", nin, MaxCores))
-	}
-	for i := uint32(0); i < nin; i++ {
-		n := br.u32()
-		if br.short {
-			return fail("short input stream")
-		}
-		if n > MaxInputLen {
-			return fail(fmt.Sprintf("input count %d exceeds limit %d", n, MaxInputLen))
-		}
-		if int(n)*8 > br.remaining() {
-			br.short = true
-			return fail("short input stream")
-		}
-		var in []uint64
-		for j := uint32(0); j < n; j++ {
-			in = append(in, br.u64())
-		}
-		if br.short {
-			return fail("short input stream")
-		}
-		l.Inputs = append(l.Inputs, in)
-	}
-
-	nstreams := br.u32()
-	if br.short {
-		return fail("missing stream table")
-	}
-	if nstreams > MaxCores {
-		return fail(fmt.Sprintf("stream count %d exceeds limit %d", nstreams, MaxCores))
-	}
-	for si := uint32(0); si < nstreams; si++ {
-		core := br.u32()
-		nivs := br.u32()
-		if br.short {
-			return fail("short stream header")
-		}
-		if nivs > MaxIntervalsPerCore {
-			return fail(fmt.Sprintf("interval count %d exceeds limit %d", nivs, MaxIntervalsPerCore))
-		}
-		if int(nivs)*24 > br.remaining() { // 24 B = minimum encoded interval
-			br.short = true
-			return fail("short stream")
-		}
-		s := CoreLog{Core: int(core)}
-		// Commit the stream now so intact intervals survive a torn tail.
-		l.Streams = append(l.Streams, s)
-		cur := &l.Streams[len(l.Streams)-1]
-		for i := uint32(0); i < nivs; i++ {
-			var iv Interval
-			iv.Seq = br.u64()
-			iv.Timestamp = br.u64()
-			nent := br.u32()
-			npred := br.u32()
-			if br.short {
-				return fail("short interval header")
-			}
-			if nent > MaxEntriesPerInterval {
-				return fail(fmt.Sprintf("entry count %d exceeds limit %d", nent, MaxEntriesPerInterval))
-			}
-			if npred > MaxPredsPerInterval {
-				return fail(fmt.Sprintf("pred count %d exceeds limit %d", npred, MaxPredsPerInterval))
-			}
-			if int(nent) > br.remaining() || int(npred)*12 > br.remaining() {
-				br.short = true
-				return fail("short interval")
-			}
-			iv.CISN = uint16(iv.Seq)
-			for j := uint32(0); j < nent; j++ {
-				e, ok := br.entry()
-				if !ok {
-					if br.short {
-						return fail("short entry")
-					}
-					return fail(fmt.Sprintf("unknown entry type %d", e.Type))
-				}
-				iv.Entries = append(iv.Entries, e)
-			}
-			for j := uint32(0); j < npred; j++ {
-				iv.Preds = append(iv.Preds, Pred{Core: int(br.u32()), Seq: br.u64()})
-			}
-			if br.short {
-				return fail("short preds")
-			}
-			cur.Intervals = append(cur.Intervals, iv)
-		}
-	}
-	return l, rep, nil
 }

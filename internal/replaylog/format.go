@@ -3,19 +3,16 @@ package replaylog
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"strings"
 )
 
 // On-disk format v2 (see DESIGN.md "Log format v2" for the frame
 // diagram). The file is a fixed preamble followed by a sequence of
-// independently-checksummed frames:
+// independently-checksummed frames in the envelope of internal/frame:
 //
 //	file  := magic "RRLG" | version u16 (LE) | frame*
-//	frame := sync 0xF5 'R' 'F' '2'
-//	       | type u8 | length u32 (LE, payload bytes)
-//	       | payload
-//	       | crc32c u32 (LE, over type|length|payload)
+//	frame := sync | type u8 | length u32 (LE, payload bytes)
+//	       | payload | crc32c u32 (LE, over type|length|payload)
 //
 // Frame payloads (all integers little-endian):
 //
@@ -34,10 +31,11 @@ import (
 // clean-tail truncation. Version 1 files (no framing, no checksums)
 // still decode.
 
-// On-disk format v3 (see DESIGN.md "Log format v3") keeps the same
-// preamble and the same sync/type/length/CRC32C framing, so the
-// resyncing salvage machinery is shared, and replaces the per-interval
-// frames with compressed *group* frames plus a seekable index footer:
+// On-disk format v3 (see DESIGN.md "Log format v3"), the format every
+// writer outside this package produces, keeps the same preamble and
+// the same framing, so one scan loop (decode.go) salvages both, and
+// replaces the per-interval frames with compressed *group* frames plus
+// a seekable index footer:
 //
 //	file  := magic "RRLG" | version u16 = 3 | frame* | index | end
 //	group (6): flags u8 | core uvarint | body (raw, or flate when flags&1)
@@ -117,13 +115,11 @@ func (t FrameType) String() string {
 	return fmt.Sprintf("frame(%d)", uint8(t))
 }
 
-var frameSync = [4]byte{0xF5, 'R', 'F', '2'}
-
 // Decode limits: every length or count field read from untrusted bytes
 // is clamped against these maxima before any allocation, so a hostile
 // header can claim gigabytes but never allocate them.
 const (
-	// MaxFrameLen bounds a single v2 frame payload (64 MiB).
+	// MaxFrameLen bounds a single v2 or v3 frame payload (64 MiB).
 	MaxFrameLen = 1 << 26
 	// MaxVariantLen bounds the variant string ("base"/"opt" in practice).
 	MaxVariantLen = 1 << 10
@@ -142,9 +138,6 @@ const (
 	// MaxIndexSpans bounds the v3 index footer's span count.
 	MaxIndexSpans = 1 << 24
 )
-
-// castagnoli is the CRC32C table (hardware-accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Typed decode errors. Callers classify with errors.Is.
 var (
@@ -189,7 +182,7 @@ const maxReportedFrames = 64
 // was dropped, skipped, or found missing. The zero value means a clean
 // decode.
 type CorruptionReport struct {
-	Version int // format version that was decoded (1 or 2)
+	Version int // format version that was decoded (1, 2 or 3)
 
 	// Frames lists dropped frames (capped at maxReportedFrames);
 	// Dropped is the uncapped count.

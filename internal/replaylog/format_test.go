@@ -1,15 +1,17 @@
 package replaylog
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"reflect"
 	"testing"
 
 	"relaxreplay/internal/faultinject"
+	"relaxreplay/internal/frame"
 )
 
 func encodeBytes(t *testing.T, l *Log) []byte {
@@ -21,32 +23,48 @@ func encodeBytes(t *testing.T, l *Log) []byte {
 	return buf.Bytes()
 }
 
-// frameSpan locates each frame in an encoded v2 stream: [start, end)
-// byte offsets plus the claimed type.
+// frameSpan locates each frame in an encoded v2/v3 stream: [start,
+// end) byte offsets plus the claimed type.
 type frameSpan struct {
 	typ        FrameType
 	start, end int
 }
 
-func scanFrames(t *testing.T, data []byte) []frameSpan {
+// frameSpans lists the frames of a clean encoded log, failing the test
+// on any byte the frame scan does not accept.
+func frameSpans(t *testing.T, data []byte) []frameSpan {
 	t.Helper()
 	var out []frameSpan
-	pos := 6
-	for pos+13 <= len(data) {
-		if !bytes.Equal(data[pos:pos+4], frameSync[:]) {
-			t.Fatalf("lost framing at offset %d", pos)
+	s := frame.NewScanner(data[preambleLen:], MaxFrameLen, nil)
+	for {
+		f, ok := s.Next()
+		if !ok {
+			break
 		}
-		length := int(binary.LittleEndian.Uint32(data[pos+5 : pos+9]))
-		end := pos + 9 + length + 4
-		out = append(out, frameSpan{typ: FrameType(data[pos+4]), start: pos, end: end})
-		pos = end
+		if f.BadCRC {
+			t.Fatalf("bad checksum at offset %d", preambleLen+f.Off)
+		}
+		start := preambleLen + f.Off
+		out = append(out, frameSpan{typ: FrameType(f.Type), start: start, end: start + frame.Overhead + len(f.Payload)})
+	}
+	if s.Skipped() != 0 || s.Tail() != 0 {
+		t.Fatalf("lost framing: %d bytes skipped, %d-byte tail", s.Skipped(), s.Tail())
 	}
 	return out
 }
 
+// frameBytes frames payload as one frame of type typ.
+func frameBytes(typ FrameType, payload []byte) []byte {
+	b, err := frame.Append(nil, uint8(typ), payload, MaxFrameLen)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestV2FrameLayout(t *testing.T) {
 	data := encodeBytes(t, sampleLog())
-	frames := scanFrames(t, data)
+	frames := frameSpans(t, data)
 	var types []FrameType
 	for _, f := range frames {
 		types = append(types, f.typ)
@@ -68,7 +86,7 @@ func TestV2FrameLayout(t *testing.T) {
 func TestCorruptEachFrameEachRegion(t *testing.T) {
 	orig := sampleLog()
 	clean := encodeBytes(t, orig)
-	frames := scanFrames(t, clean)
+	frames := frameSpans(t, clean)
 	total := 0
 	for _, s := range orig.Streams {
 		total += len(s.Intervals)
@@ -144,7 +162,7 @@ func TestCorruptEachFrameEachRegion(t *testing.T) {
 // sequence number.
 func TestCorruptionReportNamesInterval(t *testing.T) {
 	clean := encodeBytes(t, sampleLog())
-	frames := scanFrames(t, clean)
+	frames := frameSpans(t, clean)
 	// Second interval of core 0 (Seq 1): frame index 5 per TestV2FrameLayout.
 	f := frames[5]
 	data := append([]byte(nil), clean...)
@@ -187,7 +205,7 @@ func TestTruncatedTail(t *testing.T) {
 
 func TestHeaderLostIsInferred(t *testing.T) {
 	clean := encodeBytes(t, sampleLog())
-	frames := scanFrames(t, clean)
+	frames := frameSpans(t, clean)
 	data := append([]byte(nil), clean...)
 	data[frames[0].start+10] ^= 1 // header frame body
 	l, rep, err := DecodeRobust(bytes.NewReader(data))
@@ -206,7 +224,7 @@ func TestDuplicatedFrameIsDropped(t *testing.T) {
 	orig := sampleLog()
 	inj := faultinject.New(21, faultinject.LogDupFrame)
 	var buf bytes.Buffer
-	if err := EncodeWith(&buf, orig, inj); err != nil {
+	if err := EncodeV3With(&buf, orig, V3Options{}, inj); err != nil {
 		t.Fatal(err)
 	}
 	if inj.Counts()[faultinject.LogDupFrame] != 1 {
@@ -227,25 +245,25 @@ func TestDuplicatedFrameIsDropped(t *testing.T) {
 	}
 }
 
-// EncodeWith(nil) must be byte-identical to Encode, and an injector
-// with no armed points must not change the bytes either.
-func TestEncodeWithDisabledInjectorIsByteIdentical(t *testing.T) {
+// EncodeV3With(nil) must be byte-identical to EncodeV3, and an
+// injector with no armed log points must not change the bytes either.
+func TestEncodeV3WithDisabledInjectorIsByteIdentical(t *testing.T) {
 	orig := sampleLog()
-	plain := encodeBytes(t, orig)
+	plain := encodeV3Bytes(t, orig, V3Options{})
 	var with bytes.Buffer
-	if err := EncodeWith(&with, orig, nil); err != nil {
+	if err := EncodeV3With(&with, orig, V3Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, with.Bytes()) {
-		t.Fatal("EncodeWith(nil) differs from Encode")
+		t.Fatal("EncodeV3With(nil) differs from EncodeV3")
 	}
 	with.Reset()
 	inj := faultinject.New(3, faultinject.ICDrop) // no log points armed
-	if err := EncodeWith(&with, orig, inj); err != nil {
+	if err := EncodeV3With(&with, orig, V3Options{}, inj); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, with.Bytes()) {
-		t.Fatal("EncodeWith(injector without log points) differs from Encode")
+		t.Fatal("EncodeV3With(injector without log points) differs from EncodeV3")
 	}
 }
 
@@ -281,9 +299,7 @@ func TestHostileHeaders(t *testing.T) {
 	// v2: a header frame claiming 2^32-1 cores, with a *valid* CRC so
 	// only the clamp can reject it.
 	hostile := cat(u32(0xFFFFFFFF), []byte{1}, u32(0xFFFFFFFF), u16(0xFFFF))
-	body := cat([]byte{byte(FrameHeader)}, u32(uint32(len(hostile))), hostile)
-	crc := crc32.Checksum(body, castagnoli)
-	cases["v2-header"] = cat([]byte("RRLG"), u16(2), frameSync[:], body, u32(crc))
+	cases["v2-header"] = cat([]byte("RRLG"), u16(2), frameBytes(FrameHeader, hostile))
 
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -300,13 +316,81 @@ func TestHostileHeaders(t *testing.T) {
 	}
 }
 
+// encodeV1 writes the pre-framing format, so tests can exercise the
+// v1 decode path against freshly written v1 bytes.
+func encodeV1(w io.Writer, l *Log) error {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(magic[:]); err != nil {
+		return err
+	}
+	put := func(vs ...any) error {
+		for _, v := range vs {
+			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	patched := uint8(0)
+	if l.Patched {
+		patched = 1
+	}
+	if err := put(uint16(formatV1), uint32(l.Cores), patched, uint16(len(l.Variant))); err != nil {
+		return err
+	}
+	if _, err := bw.WriteString(l.Variant); err != nil {
+		return err
+	}
+	if err := put(uint32(len(l.Inputs))); err != nil {
+		return err
+	}
+	for _, in := range l.Inputs {
+		if err := put(uint32(len(in))); err != nil {
+			return err
+		}
+		for _, v := range in {
+			if err := put(v); err != nil {
+				return err
+			}
+		}
+	}
+	if err := put(uint32(len(l.Streams))); err != nil {
+		return err
+	}
+	for _, s := range l.Streams {
+		if err := put(uint32(s.Core), uint32(len(s.Intervals))); err != nil {
+			return err
+		}
+		for _, iv := range s.Intervals {
+			if err := put(iv.Seq, iv.Timestamp, uint32(len(iv.Entries)), uint32(len(iv.Preds))); err != nil {
+				return err
+			}
+			var p frame.Buf
+			for _, e := range iv.Entries {
+				if err := putEntry(&p, e); err != nil {
+					return err
+				}
+			}
+			if _, err := bw.Write(p.Bytes()); err != nil {
+				return err
+			}
+			for _, pr := range iv.Preds {
+				if err := put(uint32(pr.Core), pr.Seq); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return bw.Flush()
+}
+
 // v1 files still decode, and a v1-decoded log re-encodes in v2
 // byte-identically to encoding the original (the satellite round-trip
 // requirement).
 func TestV1DecodeAndReencode(t *testing.T) {
 	orig := sampleLog()
 	var v1buf bytes.Buffer
-	if err := EncodeV1(&v1buf, orig); err != nil {
+	if err := encodeV1(&v1buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := Decode(bytes.NewReader(v1buf.Bytes()))
@@ -324,7 +408,7 @@ func TestV1DecodeAndReencode(t *testing.T) {
 func TestV1TruncatedKeepsPrefix(t *testing.T) {
 	orig := sampleLog()
 	var buf bytes.Buffer
-	if err := EncodeV1(&buf, orig); err != nil {
+	if err := encodeV1(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()[:buf.Len()-10]

@@ -17,7 +17,7 @@ func FuzzDecode(f *testing.F) {
 		if err := Encode(&v2, l); err != nil {
 			f.Fatal(err)
 		}
-		if err := EncodeV1(&v1, l); err != nil {
+		if err := encodeV1(&v1, l); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(v2.Bytes())
@@ -87,7 +87,7 @@ func FuzzDecode(f *testing.F) {
 func FuzzDecodeV3(f *testing.F) {
 	seed := func(l *Log, opts V3Options) []byte {
 		var buf bytes.Buffer
-		if err := EncodeV3With(&buf, l, opts); err != nil {
+		if err := EncodeV3With(&buf, l, opts, nil); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())

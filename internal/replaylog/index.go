@@ -1,14 +1,14 @@
 package replaylog
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"sync"
+
+	"relaxreplay/internal/frame"
 )
 
 // Indexed access to v3 logs: OpenIndexed reads only the end frame and
@@ -90,53 +90,42 @@ func (ix *IndexedLog) loadIndex() string {
 	if _, err := ix.r.ReadAt(tail[:], ix.size-endFrameLen); err != nil {
 		return "end frame unreadable"
 	}
-	if !bytes.Equal(tail[:4], frameSync[:]) ||
-		FrameType(tail[4]) != FrameEnd ||
-		binary.LittleEndian.Uint32(tail[5:9]) != endFrameLen-frameOverhead {
+	end, reason := frameAt(tail[:], FrameEnd)
+	if reason != "" {
+		return reason
+	}
+	if len(end) != endFrameLen-frame.Overhead {
 		return "end frame damaged"
 	}
-	if crc32.Checksum(tail[4:endFrameLen-4], castagnoli) !=
-		binary.LittleEndian.Uint32(tail[endFrameLen-4:]) {
-		return "end frame crc mismatch"
-	}
-	indexOff := int64(binary.LittleEndian.Uint64(tail[13:21]))
-	if indexOff < preambleLen || indexOff+frameOverhead > ix.size-endFrameLen+frameOverhead {
+	indexOff := int64(binary.LittleEndian.Uint64(end[4:]))
+	// The index frame sits between indexOff and the end frame.
+	if indexOff < preambleLen || indexOff > ix.size-endFrameLen-frame.Overhead {
 		return "index offset out of range"
 	}
-	var hdr [9]byte
-	if _, err := ix.r.ReadAt(hdr[:], indexOff); err != nil {
+	n := min(ix.size-endFrameLen-indexOff, frame.Overhead+MaxFrameLen)
+	buf := make([]byte, n)
+	if _, err := ix.r.ReadAt(buf, indexOff); err != nil {
 		return "index frame unreadable"
 	}
-	if !bytes.Equal(hdr[:4], frameSync[:]) || FrameType(hdr[4]) != FrameIndex {
-		return "index frame damaged"
-	}
-	length := binary.LittleEndian.Uint32(hdr[5:9])
-	if length > MaxFrameLen || indexOff+9+int64(length)+4 > ix.size {
-		return "index frame length out of range"
-	}
-	buf := make([]byte, 1+4+int(length)+4)
-	if _, err := ix.r.ReadAt(buf, indexOff+4); err != nil {
-		return "index frame unreadable"
-	}
-	if crc32.Checksum(buf[:len(buf)-4], castagnoli) !=
-		binary.LittleEndian.Uint32(buf[len(buf)-4:]) {
-		return "index frame crc mismatch"
+	index, reason := frameAt(buf, FrameIndex)
+	if reason != "" {
+		return reason
 	}
 
-	br := &byteReader{data: buf[5 : len(buf)-4]}
-	nspans := br.uvarint()
-	if br.short || nspans > MaxIndexSpans {
+	br := &frame.Cursor{Data: index}
+	nspans := br.Uvarint()
+	if br.Short || nspans > MaxIndexSpans {
 		return "bad span count"
 	}
 	spans := map[int][]IndexSpan{}
 	total := 0
 	for i := uint64(0); i < nspans; i++ {
-		core := br.uvarint()
-		firstSeq := br.uvarint()
-		seqRange := br.uvarint()
-		off := br.uvarint()
-		flen := br.uvarint()
-		if br.short {
+		core := br.Uvarint()
+		firstSeq := br.Uvarint()
+		seqRange := br.Uvarint()
+		off := br.Uvarint()
+		flen := br.Uvarint()
+		if br.Short {
 			return "short span table"
 		}
 		sp := IndexSpan{
@@ -146,9 +135,11 @@ func (ix *IndexedLog) loadIndex() string {
 			Offset:   int64(off),
 			Length:   int(flen),
 		}
+		// Offset >= preambleLen, so size-Offset cannot overflow the
+		// way Offset+Length can.
 		if core >= MaxCores || sp.LastSeq < sp.FirstSeq ||
-			sp.Offset < preambleLen || sp.Length < frameOverhead ||
-			sp.Offset+int64(sp.Length) > ix.size {
+			sp.Offset < preambleLen || sp.Length < frame.Overhead ||
+			int64(sp.Length) > ix.size-sp.Offset {
 			return "span out of range"
 		}
 		prev := spans[sp.Core]
@@ -158,12 +149,26 @@ func (ix *IndexedLog) loadIndex() string {
 		spans[sp.Core] = append(prev, sp)
 		total++
 	}
-	if br.remaining() != 0 {
+	if br.Remaining() != 0 {
 		return "trailing bytes in span table"
 	}
 	ix.spans = spans
 	ix.spanCnt = total
 	return ""
+}
+
+// frameAt checks that b opens with an intact frame of type t and
+// returns its payload, or a reason why not.
+func frameAt(b []byte, t FrameType) ([]byte, string) {
+	s := frame.NewScanner(b, MaxFrameLen, nil)
+	f, ok := s.Next()
+	switch {
+	case !ok || f.Off != 0 || FrameType(f.Type) != t:
+		return nil, t.String() + " frame damaged"
+	case f.BadCRC:
+		return nil, t.String() + " frame crc mismatch"
+	}
+	return f.Payload, ""
 }
 
 // Indexed reports whether the seek path is live; when false, Reason
@@ -214,22 +219,17 @@ func (ix *IndexedLog) readGroupInterval(sp IndexSpan, seq uint64) (*Interval, bo
 	if _, err := ix.r.ReadAt(buf, sp.Offset); err != nil {
 		return nil, false
 	}
-	if !bytes.Equal(buf[:4], frameSync[:]) ||
-		FrameType(buf[4]) != FrameIvGroup ||
-		int(binary.LittleEndian.Uint32(buf[5:9])) != sp.Length-frameOverhead {
+	body, reason := frameAt(buf, FrameIvGroup)
+	if reason != "" || len(body) != sp.Length-frame.Overhead {
 		return nil, false
 	}
-	if crc32.Checksum(buf[4:len(buf)-4], castagnoli) !=
-		binary.LittleEndian.Uint32(buf[len(buf)-4:]) {
+	br := &frame.Cursor{Data: body}
+	flags := br.U8()
+	core := br.Uvarint()
+	if br.Short || int(core) != sp.Core || flags&^flagFlate != 0 {
 		return nil, false
 	}
-	br := &byteReader{data: buf[9 : len(buf)-4]}
-	flags := br.u8()
-	core := br.uvarint()
-	if br.short || int(core) != sp.Core || flags&^flagFlate != 0 {
-		return nil, false
-	}
-	ivs, reason := decodeGroup(flags, br.data[br.pos:])
+	ivs, reason := decodeGroup(flags, br.Rest())
 	if reason != "" {
 		return nil, false
 	}

@@ -56,12 +56,12 @@ func TestEncodeRejectsOversizeCounts(t *testing.T) {
 }
 
 // The frame count the encoder accumulates is published in the end
-// frame and consumed by decodeV2's truncation check: regression test
+// frame and consumed by the decoder's truncation check: regression test
 // for both directions (correct value on a clean log, detection when a
 // whole frame vanishes without leaving corrupt bytes behind).
 func TestFrameCountTrailer(t *testing.T) {
 	data := encodeBytes(t, sampleLog())
-	frames := scanFrames(t, data)
+	frames := frameSpans(t, data)
 	endFrame := frames[len(frames)-1]
 	if endFrame.typ != FrameEnd {
 		t.Fatalf("last frame is %v, want end", endFrame.typ)

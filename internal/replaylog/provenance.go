@@ -3,6 +3,7 @@ package replaylog
 import (
 	"fmt"
 
+	"relaxreplay/internal/frame"
 	"relaxreplay/internal/provenance"
 )
 
@@ -25,9 +26,10 @@ const (
 	provMinReorderLen = 3
 )
 
-// encodeProvenanceFrames writes one FrameProvenance frame per entry of
-// l.Provenance. Caller guarantees fw/p are the shared encode scratch.
-func encodeProvenanceFrames(fw *frameWriter, p *payload, l *Log) error {
+// provenanceFrames writes one FrameProvenance frame per entry of
+// l.Provenance.
+func (enc *encoder) provenanceFrames(l *Log) error {
+	p := &enc.p
 	for i := range l.Provenance {
 		cp := &l.Provenance[i]
 		if cp.Core < 0 || cp.Core >= MaxCores {
@@ -37,35 +39,35 @@ func encodeProvenanceFrames(fw *frameWriter, p *payload, l *Log) error {
 			return fmt.Errorf("%w: core %d has %d provenance records (limit %d)", ErrOversizeFrame, cp.Core, len(cp.Records), MaxIntervalsPerCore)
 		}
 		p.Reset()
-		p.u8(provVersion)
-		p.uvarint(uint64(cp.Core))
-		p.uvarint(uint64(len(cp.Records)))
+		p.U8(provVersion)
+		p.Uvarint(uint64(cp.Core))
+		p.Uvarint(uint64(len(cp.Records)))
 		for ri := range cp.Records {
 			r := &cp.Records[ri]
 			if len(r.Reorders) > MaxEntriesPerInterval {
 				return fmt.Errorf("%w: core %d provenance seq %d has %d reorders (limit %d)", ErrOversizeFrame, cp.Core, r.Seq, len(r.Reorders), MaxEntriesPerInterval)
 			}
-			p.uvarint(r.Seq)
-			p.u8(uint8(r.Cause))
-			p.uvarint(r.Cycle)
-			p.uvarint(uint64(r.TRAQOccupancy))
-			p.uvarint(uint64(r.SnoopNonzero))
-			p.uvarint(r.ConflictLine)
+			p.Uvarint(r.Seq)
+			p.U8(uint8(r.Cause))
+			p.Uvarint(r.Cycle)
+			p.Uvarint(uint64(r.TRAQOccupancy))
+			p.Uvarint(uint64(r.SnoopNonzero))
+			p.Uvarint(r.ConflictLine)
 			w := uint8(0)
 			if r.ConflictWrite {
 				w = 1
 			}
-			p.u8(w)
-			p.svarint(int64(r.RemoteCore))
-			p.uvarint(uint64(len(r.Reorders)))
+			p.U8(w)
+			p.Svarint(int64(r.RemoteCore))
+			p.Uvarint(uint64(len(r.Reorders)))
 			for j := range r.Reorders {
 				re := &r.Reorders[j]
-				p.u8(re.Kind)
-				p.uvarint(uint64(re.Offset))
-				p.uvarint(re.Cycle)
+				p.U8(re.Kind)
+				p.Uvarint(uint64(re.Offset))
+				p.Uvarint(re.Cycle)
 			}
 		}
-		fw.frame(FrameProvenance, p.Bytes())
+		enc.frame(FrameProvenance, p.Bytes())
 	}
 	return nil
 }
@@ -74,31 +76,31 @@ func encodeProvenanceFrames(fw *frameWriter, p *payload, l *Log) error {
 // leading version byte was read and matched. A non-empty reason means
 // the frame is structurally corrupt and is dropped whole (the frame is
 // the unit of loss, like a group frame).
-func decodeProvenanceBody(br *byteReader) (core int, recs []provenance.Record, reason string) {
-	c := br.uvarint()
-	count := br.uvarint()
-	if br.short {
+func decodeProvenanceBody(br *frame.Cursor) (core int, recs []provenance.Record, reason string) {
+	c := br.Uvarint()
+	count := br.Uvarint()
+	if br.Short {
 		return 0, nil, "short provenance frame"
 	}
 	if c >= MaxCores {
 		return 0, nil, fmt.Sprintf("core %d exceeds limit", c)
 	}
-	if count > MaxIntervalsPerCore || int(count)*provMinRecordLen > br.remaining() {
+	if count > MaxIntervalsPerCore || int(count)*provMinRecordLen > br.Remaining() {
 		return 0, nil, fmt.Sprintf("record count %d exceeds frame", count)
 	}
 	recs = make([]provenance.Record, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var r provenance.Record
-		r.Seq = br.uvarint()
-		r.Cause = provenance.Cause(br.u8())
-		r.Cycle = br.uvarint()
-		traq := br.uvarint()
-		snoop := br.uvarint()
-		r.ConflictLine = br.uvarint()
-		r.ConflictWrite = br.u8() != 0
-		remote := br.svarint()
-		nre := br.uvarint()
-		if br.short {
+		r.Seq = br.Uvarint()
+		r.Cause = provenance.Cause(br.U8())
+		r.Cycle = br.Uvarint()
+		traq := br.Uvarint()
+		snoop := br.Uvarint()
+		r.ConflictLine = br.Uvarint()
+		r.ConflictWrite = br.U8() != 0
+		remote := br.Svarint()
+		nre := br.Uvarint()
+		if br.Short {
 			return 0, nil, "short provenance record"
 		}
 		if traq > 1<<32-1 || snoop > 1<<32-1 {
@@ -107,7 +109,7 @@ func decodeProvenanceBody(br *byteReader) (core int, recs []provenance.Record, r
 		if remote < -1 || remote >= MaxCores {
 			return 0, nil, fmt.Sprintf("bad provenance remote core %d", remote)
 		}
-		if nre > MaxEntriesPerInterval || int(nre)*provMinReorderLen > br.remaining() {
+		if nre > MaxEntriesPerInterval || int(nre)*provMinReorderLen > br.Remaining() {
 			return 0, nil, fmt.Sprintf("reorder count %d exceeds frame", nre)
 		}
 		r.TRAQOccupancy = uint32(traq)
@@ -116,10 +118,10 @@ func decodeProvenanceBody(br *byteReader) (core int, recs []provenance.Record, r
 		if nre > 0 {
 			r.Reorders = make([]provenance.Reorder, 0, nre)
 			for j := uint64(0); j < nre; j++ {
-				kind := br.u8()
-				off := br.uvarint()
-				cyc := br.uvarint()
-				if br.short {
+				kind := br.U8()
+				off := br.Uvarint()
+				cyc := br.Uvarint()
+				if br.Short {
 					return 0, nil, "short reorder instant"
 				}
 				if off > 1<<16-1 {
@@ -130,7 +132,7 @@ func decodeProvenanceBody(br *byteReader) (core int, recs []provenance.Record, r
 		}
 		recs = append(recs, r)
 	}
-	if br.remaining() != 0 {
+	if br.Remaining() != 0 {
 		return 0, nil, "trailing bytes in provenance frame"
 	}
 	return int(c), recs, ""

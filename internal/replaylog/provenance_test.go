@@ -2,11 +2,10 @@ package replaylog
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"reflect"
 	"testing"
 
+	"relaxreplay/internal/frame"
 	"relaxreplay/internal/provenance"
 )
 
@@ -35,31 +34,22 @@ func provSampleLog() *Log {
 // findFrame scans encoded bytes for the first frame of the given type
 // and returns the offset of its sync word, its end offset, or -1.
 func findFrame(data []byte, want FrameType) (start, end int) {
-	for pos := 0; pos+frameOverhead <= len(data); {
-		if !bytes.Equal(data[pos:pos+4], frameSync[:]) {
-			pos++
-			continue
+	s := frame.NewScanner(data, MaxFrameLen, nil)
+	for {
+		f, ok := s.Next()
+		if !ok {
+			return -1, -1
 		}
-		typ := FrameType(data[pos+4])
-		length := binary.LittleEndian.Uint32(data[pos+5 : pos+9])
-		e := pos + 9 + int(length) + 4
-		if e > len(data) {
-			pos++
-			continue
+		if FrameType(f.Type) == want {
+			return f.Off, f.Off + frame.Overhead + len(f.Payload)
 		}
-		if typ == want {
-			return pos, e
-		}
-		pos = e
 	}
-	return -1, -1
 }
 
 // reframe recomputes the CRC of the frame at [start,end) in place,
 // after a test mutated its payload deliberately.
 func reframe(data []byte, start, end int) {
-	body := data[start+4 : end-4]
-	binary.LittleEndian.PutUint32(data[end-4:end], crc32.Checksum(body, castagnoli))
+	copy(data[start:end], frameBytes(FrameType(data[start+4]), data[start+frame.HeaderLen:end-4]))
 }
 
 // TestProvenanceV3RoundTrip: the sideband survives an encode/decode

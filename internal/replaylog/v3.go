@@ -1,26 +1,25 @@
 package replaylog
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"sort"
 	"sync"
+
+	"relaxreplay/internal/faultinject"
+	"relaxreplay/internal/frame"
 )
 
 // Format v3 encoder and decoder (see format.go for the wire layout).
 // v3 trades the v2 one-interval-per-frame layout for delta/varint
 // compressed group frames plus a seekable index footer: smaller files,
 // O(log n) interval seeks via OpenIndexed, and a per-core decode that
-// parallelizes. Encode keeps writing v2 by default — v3 is opt-in via
-// EncodeV3 so byte-identical determinism comparisons against existing
-// logs stay valid.
+// parallelizes. v3 is the format every writer outside this package
+// produces.
 
 // DefaultGroupSize is the number of intervals per v3 group frame when
 // V3Options.GroupSize is zero. The group is the unit of loss under
@@ -55,27 +54,20 @@ var ErrUnordered = errors.New("replaylog: v3 requires per-core ordered intervals
 // without calling fmt.
 var errV3EntryType = errors.New("replaylog: cannot encode entry type in v3 group")
 
-// uvarint appends an unsigned varint.
-func (p *payload) uvarint(v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	p.Write(b[:n])
-}
-
-// svarint appends a zigzag-encoded signed varint.
-func (p *payload) svarint(v int64) {
-	p.uvarint(uint64(v<<1) ^ uint64(v>>63))
-}
-
 // EncodeV3 writes the log to w in format v3 with default options.
-func EncodeV3(w io.Writer, l *Log) error { return EncodeV3With(w, l, V3Options{}) }
+func EncodeV3(w io.Writer, l *Log) error { return EncodeV3With(w, l, V3Options{}, nil) }
 
 // EncodeV3With writes the log to w in format v3. The output is
 // deterministic: the same log and options always produce the same
 // bytes. Returns ErrUnordered if any core's intervals are not
 // strictly increasing in Seq or decrease in Timestamp, and
 // ErrOversizeFrame under the same count clamps as Encode.
-func EncodeV3With(w io.Writer, l *Log, opts V3Options) error {
+//
+// inj, when its log.dupframe point is armed, makes the encoder write
+// one group frame twice: the duplicated-frame fault the robust decoder
+// must absorb. A nil injector, or one without that point, changes no
+// byte.
+func EncodeV3With(w io.Writer, l *Log, opts V3Options, inj *faultinject.Injector) error {
 	if err := checkEncodeCounts(l); err != nil {
 		return err
 	}
@@ -98,145 +90,89 @@ func EncodeV3With(w io.Writer, l *Log, opts V3Options) error {
 		gs = MaxGroupIntervals
 	}
 
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var ver [2]byte
-	binary.LittleEndian.PutUint16(ver[:], formatV3)
-	if _, err := bw.Write(ver[:]); err != nil {
-		return err
-	}
-	fw := &frameWriter{w: bw}
-
-	var p payload
-	patched := uint8(0)
-	if l.Patched {
-		patched = 1
-	}
-	p.u32(uint32(l.Cores))
-	p.u8(patched)
-	p.u32(uint32(len(l.Inputs)))
-	p.u16(uint16(len(l.Variant)))
-	p.WriteString(l.Variant)
-	fw.frame(FrameHeader, p.Bytes())
-
-	for c, in := range l.Inputs {
-		p.Reset()
-		p.u32(uint32(c))
-		p.u32(uint32(len(in)))
-		for _, v := range in {
-			p.u64(v)
-		}
-		fw.frame(FrameInputs, p.Bytes())
-	}
-
-	enc := newV3Encoder(opts.NoCompress)
+	enc := newEncoder(w, formatV3)
 	defer enc.release()
+	enc.noCompress = opts.NoCompress
+	enc.headerFrames(l)
+
+	groups := uint64(0)
+	for si := range l.Streams {
+		groups += uint64((len(l.Streams[si].Intervals) + gs - 1) / gs)
+	}
+	inj.ArmWithin(faultinject.LogDupFrame, groups)
+
 	var spans []IndexSpan
 	for si := range l.Streams {
 		s := &l.Streams[si]
-		p.Reset()
-		p.u32(uint32(s.Core))
-		p.u32(uint32(len(s.Intervals)))
-		fw.frame(FrameStream, p.Bytes())
+		enc.streamFrame(s)
 		for i := 0; i < len(s.Intervals); i += gs {
 			j := i + gs
 			if j > len(s.Intervals) {
 				j = len(s.Intervals)
 			}
 			group := s.Intervals[i:j]
-			frame, err := enc.groupFrame(s.Core, group)
+			body, err := enc.groupFrame(s.Core, group)
 			if err != nil {
 				return err
 			}
-			off := preambleLen + fw.off
-			fw.frame(FrameIvGroup, frame)
+			off := preambleLen + enc.off
+			enc.frame(FrameIvGroup, body)
 			spans = append(spans, IndexSpan{
 				Core:     s.Core,
 				FirstSeq: group[0].Seq,
 				LastSeq:  group[len(group)-1].Seq,
 				Offset:   off,
-				Length:   frameOverhead + len(frame),
+				Length:   frame.Overhead + len(body),
 			})
+			if inj.Fire(faultinject.LogDupFrame) {
+				enc.frame(FrameIvGroup, body)
+			}
 		}
 	}
 
 	// Provenance sideband, when present: after the interval groups so
 	// the index spans above are unaffected, before the index so a
 	// tail-truncated file loses the advisory frames first.
-	if err := encodeProvenanceFrames(fw, &p, l); err != nil {
+	if err := enc.provenanceFrames(l); err != nil {
 		return err
 	}
 
 	if len(spans) > MaxIndexSpans {
 		return fmt.Errorf("%w: %d index spans (limit %d)", ErrOversizeFrame, len(spans), MaxIndexSpans)
 	}
-	indexOff := preambleLen + fw.off
+	indexOff := preambleLen + enc.off
+	p := &enc.p
 	p.Reset()
-	p.uvarint(uint64(len(spans)))
+	p.Uvarint(uint64(len(spans)))
 	for _, sp := range spans {
-		p.uvarint(uint64(sp.Core))
-		p.uvarint(sp.FirstSeq)
-		p.uvarint(sp.LastSeq - sp.FirstSeq)
-		p.uvarint(uint64(sp.Offset))
-		p.uvarint(uint64(sp.Length))
+		p.Uvarint(uint64(sp.Core))
+		p.Uvarint(sp.FirstSeq)
+		p.Uvarint(sp.LastSeq - sp.FirstSeq)
+		p.Uvarint(uint64(sp.Offset))
+		p.Uvarint(uint64(sp.Length))
 	}
-	fw.frame(FrameIndex, p.Bytes())
+	enc.frame(FrameIndex, p.Bytes())
 
 	p.Reset()
-	p.u32(fw.count)
-	p.u64(uint64(indexOff))
-	fw.frame(FrameEnd, p.Bytes())
-	if fw.err != nil {
-		return fw.err
-	}
-	return bw.Flush()
+	p.U32(enc.count)
+	p.U64(uint64(indexOff))
+	enc.frame(FrameEnd, p.Bytes())
+	return enc.finish()
 }
 
 // Wire geometry shared by the encoder, the linear decoder, and the
 // indexed reader.
 const (
-	preambleLen   = 6  // magic + version
-	frameOverhead = 13 // sync(4) + type(1) + length(4) + crc(4)
+	preambleLen = 6 // magic + version
 	// endFrameLen is the total size of a v3 end frame: overhead plus
 	// the frames u32 and index-offset u64. OpenIndexed reads exactly
 	// this many bytes off the file tail.
-	endFrameLen = frameOverhead + 12
+	endFrameLen = frame.Overhead + 12
 )
-
-// v3encoder holds the reusable buffers of the group-frame pipeline so
-// steady-state encoding allocates nothing per frame.
-type v3encoder struct {
-	body       payload      // delta/varint group body
-	comp       bytes.Buffer // flate output
-	frame      payload      // flags | core | body
-	fl         *flate.Writer
-	noCompress bool
-}
-
-// v3encPool recycles encoders across EncodeV3 calls: the flate writer
-// alone holds several hundred KiB of window state that would otherwise
-// be reallocated per encode.
-var v3encPool sync.Pool
-
-func newV3Encoder(noCompress bool) *v3encoder {
-	if v, ok := v3encPool.Get().(*v3encoder); ok {
-		v.noCompress = noCompress
-		return v
-	}
-	enc := &v3encoder{noCompress: noCompress}
-	// DefaultCompression: group frames are written once and read many
-	// times; spend encode cycles on ratio.
-	enc.fl, _ = flate.NewWriter(&enc.comp, flate.DefaultCompression)
-	return enc
-}
-
-func (enc *v3encoder) release() { v3encPool.Put(enc) }
 
 // groupFrame builds one FrameIvGroup payload for a core's interval
 // run. The returned slice is valid until the next call.
-func (enc *v3encoder) groupFrame(core int, group []Interval) ([]byte, error) {
+func (enc *encoder) groupFrame(core int, group []Interval) ([]byte, error) {
 	enc.body.Reset()
 	if err := enc.groupBody(group); err != nil {
 		return nil, err
@@ -245,7 +181,13 @@ func (enc *v3encoder) groupFrame(core int, group []Interval) ([]byte, error) {
 	body := enc.body.Bytes()
 	if !enc.noCompress {
 		enc.comp.Reset()
-		enc.fl.Reset(&enc.comp)
+		if enc.fl == nil {
+			// DefaultCompression: group frames are written once and read
+			// many times; spend encode cycles on ratio.
+			enc.fl, _ = flate.NewWriter(&enc.comp, flate.DefaultCompression)
+		} else {
+			enc.fl.Reset(&enc.comp)
+		}
 		if _, err := enc.fl.Write(body); err != nil {
 			return nil, err
 		}
@@ -259,11 +201,11 @@ func (enc *v3encoder) groupFrame(core int, group []Interval) ([]byte, error) {
 			body = enc.comp.Bytes()
 		}
 	}
-	enc.frame.Reset()
-	enc.frame.u8(flags)
-	enc.frame.uvarint(uint64(core))
-	enc.frame.Write(body)
-	return enc.frame.Bytes(), nil
+	enc.group.Reset()
+	enc.group.U8(flags)
+	enc.group.Uvarint(uint64(core))
+	enc.group.Raw(body)
+	return enc.group.Bytes(), nil
 }
 
 // groupBody delta/varint-encodes one group of intervals into enc.body.
@@ -271,54 +213,54 @@ func (enc *v3encoder) groupFrame(core int, group []Interval) ([]byte, error) {
 // frame loop.
 //
 //rrlint:hotpath
-func (enc *v3encoder) groupBody(group []Interval) error {
+func (enc *encoder) groupBody(group []Interval) error {
 	p := &enc.body
-	p.uvarint(uint64(len(group)))
-	p.uvarint(group[0].Seq)
-	p.uvarint(group[0].Timestamp)
+	p.Uvarint(uint64(len(group)))
+	p.Uvarint(group[0].Seq)
+	p.Uvarint(group[0].Timestamp)
 	prevSeq, prevTs := group[0].Seq, group[0].Timestamp
 	prevAddr := uint64(0)
 	for i := range group {
 		iv := &group[i]
 		if i > 0 {
-			p.uvarint(iv.Seq - prevSeq)
-			p.uvarint(iv.Timestamp - prevTs)
+			p.Uvarint(iv.Seq - prevSeq)
+			p.Uvarint(iv.Timestamp - prevTs)
 			prevSeq, prevTs = iv.Seq, iv.Timestamp
 		}
-		p.uvarint(uint64(len(iv.Entries)))
-		p.uvarint(uint64(len(iv.Preds)))
+		p.Uvarint(uint64(len(iv.Entries)))
+		p.Uvarint(uint64(len(iv.Preds)))
 		for j := range iv.Entries {
 			e := &iv.Entries[j]
-			p.u8(uint8(e.Type))
+			p.U8(uint8(e.Type))
 			switch e.Type {
 			case InorderBlock:
-				p.uvarint(uint64(e.Size))
+				p.Uvarint(uint64(e.Size))
 			case ReorderedLoad:
-				p.uvarint(e.Value)
+				p.Uvarint(e.Value)
 			case ReorderedStore, PatchedStore:
-				p.svarint(int64(e.Addr - prevAddr))
+				p.Svarint(int64(e.Addr - prevAddr))
 				prevAddr = e.Addr
-				p.uvarint(e.Value)
-				p.uvarint(uint64(e.Offset))
+				p.Uvarint(e.Value)
+				p.Uvarint(uint64(e.Offset))
 			case ReorderedAtomic:
-				p.svarint(int64(e.Addr - prevAddr))
+				p.Svarint(int64(e.Addr - prevAddr))
 				prevAddr = e.Addr
-				p.uvarint(e.Value)
-				p.uvarint(e.StoreValue)
-				p.uvarint(uint64(e.Offset))
+				p.Uvarint(e.Value)
+				p.Uvarint(e.StoreValue)
+				p.Uvarint(uint64(e.Offset))
 				w := uint8(0)
 				if e.DidWrite {
 					w = 1
 				}
-				p.u8(w)
+				p.U8(w)
 			case Dummy:
 			default:
 				return errV3EntryType
 			}
 		}
 		for j := range iv.Preds {
-			p.uvarint(uint64(iv.Preds[j].Core))
-			p.uvarint(iv.Preds[j].Seq)
+			p.Uvarint(uint64(iv.Preds[j].Core))
+			p.Uvarint(iv.Preds[j].Seq)
 		}
 	}
 	return nil
@@ -349,239 +291,40 @@ func (r *v3coreResult) drop(fe FrameError) {
 	}
 }
 
-// decodeV3 scans the framed v3 format. Like decodeV2 it resyncs past
-// corruption and drops only what fails its CRC or structural checks;
-// group bodies additionally decode per core, fanned out over at most
-// `workers` goroutines. The result is identical for every workers
-// value: the scan pass is sequential, each core's groups decode in
-// file order, and the merge follows first-appearance core order with
-// frame errors re-sorted by file offset.
-func decodeV3(data []byte, workers int) (*Log, *CorruptionReport, error) {
-	rep := &CorruptionReport{Version: 3}
-	l := &Log{}
-	headerSeen := false
-	type streamState struct {
-		idx      int // index into l.Streams
-		declared int // interval count from the stream frame; -1 unknown
-		refs     []groupRef
-	}
-	streams := map[int]*streamState{}
-	inputSeen := map[int]bool{}
-	stream := func(core int) *streamState {
-		st := streams[core]
-		if st == nil {
-			st = &streamState{idx: len(l.Streams), declared: -1}
-			streams[core] = st
-			l.Streams = append(l.Streams, CoreLog{Core: core})
-		}
-		return st
-	}
-
-	pos, encountered, sawEnd := 0, 0, false
-	endCount := uint32(0)
-	for pos+frameOverhead <= len(data) {
-		if !bytes.Equal(data[pos:pos+4], frameSync[:]) {
-			pos++
-			rep.BytesSkipped++
-			continue
-		}
-		typ := FrameType(data[pos+4])
-		length := binary.LittleEndian.Uint32(data[pos+5 : pos+9])
-		end := pos + 9 + int(length) + 4
-		if typ < FrameHeader || typ > FrameProvenance || length > MaxFrameLen || end > len(data) {
-			pos++
-			rep.BytesSkipped++
-			continue
-		}
-		body := data[pos+4 : end-4]
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[end-4:end]) {
-			fe := FrameError{Offset: int64(pos + preambleLen), Type: typ, Core: -1, Reason: "crc mismatch"}
-			nameFrame(&fe, typ, data[pos+9:end-4])
-			rep.note(fe)
-			encountered++
-			pos++
-			rep.BytesSkipped++
-			continue
-		}
-		encountered++
-		br := &byteReader{data: data[pos+9 : end-4]}
-		drop := func(reason string) {
-			fe := FrameError{Offset: int64(pos + preambleLen), Type: typ, Core: -1, Reason: reason}
-			nameFrame(&fe, typ, br.data)
-			rep.note(fe)
-		}
-		switch typ {
-		case FrameHeader:
-			cores := br.u32()
-			patched := br.u8()
-			ninputs := br.u32()
-			vlen := br.u16()
-			switch {
-			case br.short:
-				drop("short header")
-			case cores > MaxCores:
-				drop(fmt.Sprintf("core count %d exceeds limit %d", cores, MaxCores))
-			case ninputs > MaxCores:
-				drop(fmt.Sprintf("input-stream count %d exceeds limit %d", ninputs, MaxCores))
-			case vlen > MaxVariantLen || int(vlen) > br.remaining():
-				drop(fmt.Sprintf("variant length %d exceeds frame", vlen))
-			case headerSeen:
-				rep.DupFrames++
-			default:
-				headerSeen = true
-				l.Cores = int(cores)
-				l.Patched = patched != 0
-				l.Variant = string(br.take(int(vlen)))
-				if ninputs > 0 {
-					l.Inputs = make([][]uint64, ninputs)
-				}
-			}
-		case FrameInputs:
-			core := br.u32()
-			count := br.u32()
-			switch {
-			case br.short:
-				drop("short inputs frame")
-			case core >= MaxCores:
-				drop(fmt.Sprintf("core %d exceeds limit", core))
-			case int(count)*8 > br.remaining():
-				drop(fmt.Sprintf("input count %d exceeds frame", count))
-			case inputSeen[int(core)]:
-				rep.DupFrames++
-			default:
-				inputSeen[int(core)] = true
-				for int(core) >= len(l.Inputs) {
-					l.Inputs = append(l.Inputs, nil)
-				}
-				var in []uint64
-				for j := uint32(0); j < count; j++ {
-					in = append(in, br.u64())
-				}
-				l.Inputs[core] = in
-			}
-		case FrameStream:
-			core := br.u32()
-			nivs := br.u32()
-			switch {
-			case br.short:
-				drop("short stream frame")
-			case core >= MaxCores:
-				drop(fmt.Sprintf("core %d exceeds limit", core))
-			case nivs > MaxIntervalsPerCore:
-				drop(fmt.Sprintf("interval count %d exceeds limit", nivs))
-			case streams[int(core)] != nil && streams[int(core)].declared >= 0:
-				rep.DupFrames++
-			default:
-				stream(int(core)).declared = int(nivs)
-			}
-		case FrameInterval:
-			// v3 streams carry group frames; a bare v2 interval frame
-			// here is stray bytes from another format.
-			drop("v2 interval frame in v3 stream")
-		case FrameIvGroup:
-			flags := br.u8()
-			core := br.uvarint()
-			switch {
-			case br.short:
-				drop("short group frame")
-			case core >= MaxCores:
-				drop(fmt.Sprintf("core %d exceeds limit", core))
-			case flags&^flagFlate != 0:
-				drop(fmt.Sprintf("unknown group flags %#x", flags))
-			default:
-				st := stream(int(core))
-				st.refs = append(st.refs, groupRef{
-					off:   int64(pos + preambleLen),
-					flags: flags,
-					body:  br.data[br.pos:],
-				})
-			}
-		case FrameIndex:
-			// Advisory footer for OpenIndexed; the linear decoder has
-			// no use for it beyond counting the frame.
-		case FrameProvenance:
-			ver := br.u8()
-			switch {
-			case br.short:
-				drop("short provenance frame")
-			case ver != provVersion:
-				// A future payload revision: already counted as an
-				// encountered frame, skipped without a report so the
-				// decode stays clean.
-			default:
-				core, recs, reason := decodeProvenanceBody(br)
-				if reason != "" {
-					drop(reason)
-				} else {
-					attachProvenance(l, core, recs)
-				}
-			}
-		case FrameEnd:
-			n := br.u32() // the trailing index offset is OpenIndexed's
-			switch {
-			case br.short:
-				drop("short end frame")
-			case sawEnd:
-				rep.DupFrames++
-			default:
-				sawEnd = true
-				endCount = n
-			}
-		}
-		pos = end
-	}
-
-	if !sawEnd {
-		rep.Truncated = true
-	} else {
-		// encountered counts the end frame itself; endCount does not.
-		if encountered-1 < int(endCount) {
-			rep.Truncated = true // whole frames vanished without a trace
-		}
-		if pos < len(data) {
-			rep.BytesSkipped += int64(len(data) - pos)
-		}
-	}
-
-	// Per-core body decode. Order within a core is file order; cores
-	// are independent, so they can run concurrently.
-	type coreJob struct {
-		idx  int
-		core int
-		refs []groupRef
-	}
-	var jobs []coreJob
-	for core, st := range streams {
-		jobs = append(jobs, coreJob{idx: st.idx, core: core, refs: st.refs})
-	}
-	// Each job writes only its own results slot, but spawn in stream
-	// order anyway so scheduling (and any future tracing) is stable.
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].idx < jobs[j].idx })
-	results := make([]v3coreResult, len(l.Streams))
-	if workers > 1 && len(jobs) > 1 {
+// decodeGroups decodes each core's group frames, fanned out over at
+// most workers goroutines, and merges the results: intervals into
+// their streams, duplicates into the report, and dropped groups into
+// the report's frame list, re-sorted by file offset.
+func (d *framedDecoder) decodeGroups(workers int) {
+	streams, logs := d.streams, d.l.Streams
+	results := make([]v3coreResult, len(streams))
+	if workers > 1 && len(streams) > 1 {
 		sem := make(chan struct{}, workers)
 		var wg sync.WaitGroup
-		for _, jb := range jobs {
+		// Each goroutine writes only its own results slot; spawning in
+		// stream order keeps scheduling (and any tracing) stable.
+		for i := range streams {
 			wg.Add(1)
-			go func(jb coreJob) {
+			go func(i int) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				results[jb.idx] = decodeCoreGroups(jb.core, jb.refs)
-			}(jb)
+				results[i] = decodeCoreGroups(logs[i].Core, streams[i].refs)
+			}(i)
 		}
 		wg.Wait()
 	} else {
-		for _, jb := range jobs {
-			results[jb.idx] = decodeCoreGroups(jb.core, jb.refs)
+		for i := range streams {
+			results[i] = decodeCoreGroups(logs[i].Core, streams[i].refs)
 		}
 	}
 
+	rep := d.rep
 	var groupErrs []FrameError
 	groupDropped := 0
-	for idx := range results {
-		res := &results[idx]
-		l.Streams[idx].Intervals = res.ivs
+	for i := range results {
+		res := &results[i]
+		d.l.Streams[i].Intervals = res.ivs
 		rep.DupFrames += res.dups
 		groupErrs = append(groupErrs, res.errs...)
 		groupDropped += res.dropped
@@ -597,24 +340,11 @@ func decodeV3(data []byte, workers int) (*Log, *CorruptionReport, error) {
 		rep.Frames = merged
 		rep.Dropped += groupDropped
 	}
-
-	for _, st := range streams {
-		if st.declared >= 0 {
-			if got := len(l.Streams[st.idx].Intervals); got < st.declared {
-				rep.MissingIntervals += st.declared - got
-			}
-		}
-	}
-	if !headerSeen {
-		rep.HeaderLost = true
-		inferHeader(l)
-	}
-	return l, rep, nil
 }
 
 // decodeCoreGroups decodes one core's group frames in file order,
 // enforcing cross-group Seq/Timestamp monotonicity the same way
-// decodeV2 drops duplicate or out-of-order interval frames.
+// the v2 loop drops duplicate or out-of-order interval frames.
 func decodeCoreGroups(core int, refs []groupRef) v3coreResult {
 	var res v3coreResult
 	var lastSeq, lastTs uint64
@@ -652,11 +382,6 @@ type inflater struct {
 }
 
 var inflaterPool sync.Pool
-
-// maxPooledInflate caps the output buffer an inflater takes back to
-// the pool: one grown past it by a large or hostile frame is dropped,
-// so the pool cannot pin up to MaxFrameLen per entry.
-const maxPooledInflate = 1 << 20
 
 // decodeGroup decodes one group body, inflating it first when flags
 // says so. A non-empty reason means the group is lost.
@@ -701,10 +426,10 @@ func (f *inflater) inflate(src []byte) ([]byte, bool) {
 }
 
 // reset readies f for the pool: it drops the caller's log bytes and
-// any output buffer grown past maxPooledInflate.
+// any output buffer grown past maxPooledBuf.
 func (f *inflater) reset() {
 	f.src.Reset(nil)
-	if f.out.Cap() > maxPooledInflate {
+	if f.out.Cap() > maxPooledBuf {
 		f.out = bytes.Buffer{}
 	}
 }
@@ -713,29 +438,29 @@ func (f *inflater) reset() {
 // A non-empty reason means the body is structurally corrupt and the
 // whole group is the unit of loss.
 func decodeGroupBody(body []byte) ([]Interval, string) {
-	br := &byteReader{data: body}
-	count := br.uvarint()
-	if br.short || count == 0 || count > MaxGroupIntervals {
+	br := &frame.Cursor{Data: body}
+	count := br.Uvarint()
+	if br.Short || count == 0 || count > MaxGroupIntervals {
 		return nil, "bad group interval count"
 	}
-	seq := br.uvarint()
-	ts := br.uvarint()
-	if br.short {
+	seq := br.Uvarint()
+	ts := br.Uvarint()
+	if br.Short {
 		return nil, "short group header"
 	}
 	// Each interval costs at least two body bytes (nent+npred), so the
 	// claimed count cannot out-allocate the bytes that back it.
 	capHint := int(count)
-	if capHint > br.remaining()/2+1 {
-		capHint = br.remaining()/2 + 1
+	if capHint > br.Remaining()/2+1 {
+		capHint = br.Remaining()/2 + 1
 	}
 	ivs := make([]Interval, 0, capHint)
 	prevAddr := uint64(0)
 	for i := 0; i < int(count); i++ {
 		if i > 0 {
-			sd := br.uvarint()
-			td := br.uvarint()
-			if br.short {
+			sd := br.Uvarint()
+			td := br.Uvarint()
+			if br.Short {
 				return nil, "short group body"
 			}
 			if sd == 0 {
@@ -750,11 +475,11 @@ func decodeGroupBody(body []byte) ([]Interval, string) {
 			}
 			ts += td
 		}
-		nent := br.uvarint()
-		npred := br.uvarint()
-		if br.short ||
-			nent > MaxEntriesPerInterval || int(nent) > br.remaining() ||
-			npred > MaxPredsPerInterval || int(npred)*2 > br.remaining() {
+		nent := br.Uvarint()
+		npred := br.Uvarint()
+		if br.Short ||
+			nent > MaxEntriesPerInterval || int(nent) > br.Remaining() ||
+			npred > MaxPredsPerInterval || int(npred)*2 > br.Remaining() {
 			return nil, "bad interval counts"
 		}
 		iv := Interval{Seq: seq, CISN: uint16(seq), Timestamp: ts}
@@ -762,65 +487,65 @@ func decodeGroupBody(body []byte) ([]Interval, string) {
 			iv.Entries = make([]Entry, 0, nent)
 		}
 		for j := uint64(0); j < nent; j++ {
-			e, ok := br.entryV3(&prevAddr)
+			e, ok := readEntryV3(br, &prevAddr)
 			if !ok {
 				return nil, "corrupt entry"
 			}
 			iv.Entries = append(iv.Entries, e)
 		}
 		for j := uint64(0); j < npred; j++ {
-			pc := br.uvarint()
-			ps := br.uvarint()
-			if br.short || pc >= MaxCores {
+			pc := br.Uvarint()
+			ps := br.Uvarint()
+			if br.Short || pc >= MaxCores {
 				return nil, "corrupt pred"
 			}
 			iv.Preds = append(iv.Preds, Pred{Core: int(pc), Seq: ps})
 		}
 		ivs = append(ivs, iv)
 	}
-	if br.remaining() != 0 {
+	if br.Remaining() != 0 {
 		return nil, "trailing bytes in group"
 	}
 	return ivs, ""
 }
 
-// entryV3 decodes one varint-encoded entry; the bool is false on a
+// readEntryV3 decodes one varint-encoded entry; the bool is false on a
 // short read, unknown type, or a field that overflows its Log width.
-func (b *byteReader) entryV3(prevAddr *uint64) (Entry, bool) {
+func readEntryV3(b *frame.Cursor, prevAddr *uint64) (Entry, bool) {
 	var e Entry
-	e.Type = EntryType(b.u8())
+	e.Type = EntryType(b.U8())
 	switch e.Type {
 	case InorderBlock:
-		v := b.uvarint()
+		v := b.Uvarint()
 		if v > math.MaxUint32 {
 			return e, false
 		}
 		e.Size = uint32(v)
 	case ReorderedLoad:
-		e.Value = b.uvarint()
+		e.Value = b.Uvarint()
 	case ReorderedStore, PatchedStore:
-		e.Addr = *prevAddr + uint64(b.svarint())
+		e.Addr = *prevAddr + uint64(b.Svarint())
 		*prevAddr = e.Addr
-		e.Value = b.uvarint()
-		off := b.uvarint()
+		e.Value = b.Uvarint()
+		off := b.Uvarint()
 		if off > math.MaxUint16 {
 			return e, false
 		}
 		e.Offset = uint16(off)
 	case ReorderedAtomic:
-		e.Addr = *prevAddr + uint64(b.svarint())
+		e.Addr = *prevAddr + uint64(b.Svarint())
 		*prevAddr = e.Addr
-		e.Value = b.uvarint()
-		e.StoreValue = b.uvarint()
-		off := b.uvarint()
+		e.Value = b.Uvarint()
+		e.StoreValue = b.Uvarint()
+		off := b.Uvarint()
 		if off > math.MaxUint16 {
 			return e, false
 		}
 		e.Offset = uint16(off)
-		e.DidWrite = b.u8() != 0
+		e.DidWrite = b.U8() != 0
 	case Dummy:
 	default:
 		return e, false
 	}
-	return e, !b.short
+	return e, !b.Short
 }

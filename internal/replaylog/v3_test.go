@@ -8,12 +8,14 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"relaxreplay/internal/frame"
 )
 
 func encodeV3Bytes(t *testing.T, l *Log, opts V3Options) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := EncodeV3With(&buf, l, opts); err != nil {
+	if err := EncodeV3With(&buf, l, opts, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -146,7 +148,7 @@ func TestV3Compresses(t *testing.T) {
 func TestV3SalvageCorruptGroupAndLostIndex(t *testing.T) {
 	l := genLog(3, 64)
 	data := encodeV3Bytes(t, l, V3Options{GroupSize: 8})
-	frames := scanFrames(t, data)
+	frames := frameSpans(t, data)
 	var groups []frameSpan
 	var index, end frameSpan
 	for _, f := range frames {
@@ -215,7 +217,7 @@ func TestDecodeParallelMatchesRobust(t *testing.T) {
 	clean := encodeV3Bytes(t, l, V3Options{GroupSize: 8})
 
 	corrupt := append([]byte(nil), clean...)
-	frames := scanFrames(t, clean)
+	frames := frameSpans(t, clean)
 	n := 0
 	for _, f := range frames {
 		if f.typ == FrameIvGroup {
@@ -250,7 +252,7 @@ func TestDecodeParallelSharedInflaters(t *testing.T) {
 	clean := encodeV3Bytes(t, benchLog(4, 128), V3Options{GroupSize: 16})
 	bad := append([]byte(nil), clean...)
 	n := 0
-	for _, f := range scanFrames(t, bad) {
+	for _, f := range frameSpans(t, bad) {
 		if f.typ == FrameIvGroup && bad[f.start+9]&flagFlate != 0 {
 			if n++; n%3 == 0 {
 				// Past sync, type, length, flags and a one-byte core:
@@ -292,10 +294,10 @@ func TestDecodeParallelSharedInflaters(t *testing.T) {
 	wg.Wait()
 }
 
-// An inflater whose output buffer grew past maxPooledInflate goes back
+// An inflater whose output buffer grew past maxPooledBuf goes back
 // to the pool without it; a smaller buffer is kept for reuse.
 func TestInflaterDropsLargeBuffer(t *testing.T) {
-	for _, size := range []int{maxPooledInflate / 2, 2 * maxPooledInflate} {
+	for _, size := range []int{maxPooledBuf / 2, 2 * maxPooledBuf} {
 		var comp bytes.Buffer
 		fw, err := flate.NewWriter(&comp, flate.BestSpeed)
 		if err != nil {
@@ -312,7 +314,7 @@ func TestInflaterDropsLargeBuffer(t *testing.T) {
 			t.Fatalf("inflate %d bytes: got %d, ok %v", size, len(out), ok)
 		}
 		f.reset()
-		if kept := f.out.Cap() > 0; kept != (size <= maxPooledInflate) {
+		if kept := f.out.Cap() > 0; kept != (size <= maxPooledBuf) {
 			t.Errorf("%d-byte output: pooled buffer cap %d", size, f.out.Cap())
 		}
 	}
@@ -354,7 +356,7 @@ func TestOpenIndexedSeeks(t *testing.T) {
 func TestOpenIndexedFallsBack(t *testing.T) {
 	l := genLog(2, 40)
 	data := encodeV3Bytes(t, l, V3Options{GroupSize: 8})
-	frames := scanFrames(t, data)
+	frames := frameSpans(t, data)
 
 	check := func(t *testing.T, ix *IndexedLog) {
 		t.Helper()
@@ -418,6 +420,38 @@ func TestOpenIndexedFallsBack(t *testing.T) {
 		check(t, ix)
 	})
 
+	// A CRC-valid footer whose span has Offset 6 and Length 2^63-1:
+	// Offset+Length wraps negative, so a sum-based range check accepted
+	// the span and the seek's make([]byte, Length) panicked.
+	t.Run("overflowing-span", func(t *testing.T) {
+		var head, end []byte
+		for _, f := range frames {
+			switch f.typ {
+			case FrameIndex:
+				head = data[:f.start]
+			case FrameEnd:
+				end = data[f.start:f.end]
+			}
+		}
+		var p frame.Buf
+		p.Uvarint(1)         // one span
+		p.Uvarint(0)         // core
+		p.Uvarint(0)         // first seq
+		p.Uvarint(0)         // seq range
+		p.Uvarint(6)         // offset
+		p.Uvarint(1<<63 - 1) // length
+		bad := append(append([]byte(nil), head...), frameBytes(FrameIndex, p.Bytes())...)
+		bad = append(bad, end...)
+		ix, err := OpenIndexed(bytes.NewReader(bad), int64(len(bad)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.Indexed() {
+			t.Fatal("overflowing span accepted")
+		}
+		check(t, ix)
+	})
+
 	t.Run("corrupt-group-degrades-lookup", func(t *testing.T) {
 		bad := append([]byte(nil), data...)
 		var first frameSpan
@@ -455,7 +489,7 @@ func TestOldVersionsStillDecode(t *testing.T) {
 	l := sampleLog()
 
 	var v1 bytes.Buffer
-	if err := EncodeV1(&v1, l); err != nil {
+	if err := encodeV1(&v1, l); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(bytes.NewReader(v1.Bytes()))

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"relaxreplay/internal/frame"
 	"relaxreplay/internal/telemetry"
 )
 
@@ -87,7 +88,7 @@ type entry struct {
 }
 
 // SessionWriter streams one recording session to rrproc. It is an
-// io.WriteCloser, so the natural use is handing it to WriteLogV3 and
+// io.WriteCloser, so the natural use is handing it to WriteLog and
 // letting the encoder stream straight onto the wire. Not safe for
 // concurrent Writes.
 type SessionWriter struct {
@@ -224,11 +225,12 @@ func (sw *SessionWriter) connectOnce() error {
 	if err := writeFrame(nc, MsgHello, encodeHello(hello)); err != nil {
 		return fail(err)
 	}
-	fr := newFrameReader(nc, 1<<20)
-	t, payload, err := fr.next()
+	fr := frame.NewReader(nc, MaxWirePayload, 1<<20)
+	tp, payload, err := fr.Next()
 	if err != nil {
 		return fail(err)
 	}
+	t := MsgType(tp)
 	if t == MsgError {
 		if em, ok := decodeError(payload); ok {
 			return fail(fmt.Errorf("%w: %s", ErrRejected, em.Message))
@@ -318,7 +320,7 @@ func (sw *SessionWriter) inflight() int {
 func (sw *SessionWriter) gauge() { sw.c.gInflight.Set(0, uint64(len(sw.entries))) }
 
 // Write accumulates log bytes, sealing and shipping a chunk whenever
-// ChunkSize is reached. It implements io.Writer so WriteLogV3 can
+// ChunkSize is reached. It implements io.Writer so WriteLog can
 // stream directly.
 func (sw *SessionWriter) Write(p []byte) (int, error) {
 	if sw.closed {
@@ -347,7 +349,7 @@ func (sw *SessionWriter) seal(data []byte) error {
 	seq := sw.nextSeq
 	sw.nextSeq++
 	sw.logLen += uint64(len(data))
-	sw.logCRC = crc32.Update(sw.logCRC, castagnoli, data)
+	sw.logCRC = crc32.Update(sw.logCRC, frame.Castagnoli, data)
 	sw.c.mChunks.Inc(0)
 	sw.c.mBytes.Add(0, uint64(len(data)))
 
@@ -727,15 +729,15 @@ type clientConn struct {
 	sig       chan struct{}
 }
 
-func newClientConn(nc net.Conn, fr *frameReader) *clientConn {
+func newClientConn(nc net.Conn, fr *frame.Reader) *clientConn {
 	cc := &clientConn{nc: nc, sig: make(chan struct{}, 1)}
 	go cc.readLoop(fr) //rrlint:allow goroleak -- exits when the conn closes: every read on a closed conn errors out
 	return cc
 }
 
-func (cc *clientConn) readLoop(fr *frameReader) {
+func (cc *clientConn) readLoop(fr *frame.Reader) {
 	for {
-		t, payload, err := fr.next()
+		t, payload, err := fr.Next()
 		if err != nil {
 			cc.mu.Lock()
 			cc.dead = true
@@ -743,7 +745,7 @@ func (cc *clientConn) readLoop(fr *frameReader) {
 			cc.wake()
 			return
 		}
-		switch t {
+		switch MsgType(t) {
 		case MsgAck:
 			if m, ok := decodeAck(payload); ok {
 				cc.mu.Lock()

@@ -11,7 +11,7 @@ import (
 
 // FaultConn is the chaos transport: a net.Conn wrapper that consults
 // the injector's net.* points once per Write. Both the client and the
-// server write exactly one wire frame per Write call (appendFrame
+// server write exactly one wire frame per Write call (writeFrame
 // builds the whole frame into one buffer), so each consultation
 // decides the fate of one frame:
 //

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"relaxreplay/internal/frame"
 )
 
 // FuzzStreamReassembly throws arbitrary bytes at the connection-input
@@ -19,17 +21,36 @@ import (
 //
 // The same reassembly rules run inside Server.applyChunk; the fuzz
 // harness mirrors them without a journal so iterations stay cheap.
+//
+// A second leg reads the same bytes as a journal's records, through
+// the byte-level parse behind ReadJournal: it must not panic, must
+// account for no more bytes than it was given, and every recovered
+// session must export.
 func FuzzStreamReassembly(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
+	journal := scriptedJournal(f)[8:]
+	f.Add(journal)
+	f.Add(journal[:len(journal)-9])
 	const window = 16
 	f.Fuzz(func(t *testing.T, data []byte) {
+		v := readJournal(append([]byte{'R', 'R', 'J', 'L', JournalVersion, 0, 0, 0}, data...))
+		if v.SkippedBytes > int64(len(data)) {
+			t.Fatalf("skipped %d of %d bytes", v.SkippedBytes, len(data))
+		}
+		for _, id := range v.Order {
+			var out bytes.Buffer
+			if err := v.Export(id, &out); err != nil || out.Len() != len(v.Sessions[id].Data) {
+				t.Fatalf("export session %d: %d bytes, %v", id, out.Len(), err)
+			}
+		}
+
 		r := bytes.NewReader(data)
 		if err := readPreamble(r); err != nil {
 			return // not a session stream; nothing to reassemble
 		}
-		fr := newFrameReader(r, 1<<20)
+		fr := frame.NewReader(r, MaxWirePayload, 1<<20)
 		type state struct {
 			contig  uint64
 			pending map[uint64][]byte
@@ -37,11 +58,11 @@ func FuzzStreamReassembly(f *testing.F) {
 		}
 		sessions := make(map[uint64]*state)
 		for {
-			tp, payload, err := fr.next()
+			tp, payload, err := fr.Next()
 			if err != nil {
 				break
 			}
-			switch tp {
+			switch MsgType(tp) {
 			case MsgHello:
 				if m, ok := decodeHello(payload); ok && sessions[m.Session] == nil {
 					sessions[m.Session] = &state{pending: make(map[uint64][]byte)}
@@ -112,25 +133,25 @@ func fuzzSeeds() [][]byte {
 	}
 
 	valid := preamble()
-	valid = appendFrame(valid, MsgHello, encodeHello(helloMsg{Proto: ProtoVersion, Session: 1, Tenant: "seed"}))
-	valid = appendFrame(valid, MsgChunk, encodeChunk(chunkMsg{Session: 1, Seq: 0, Data: []byte("alpha")}))
-	valid = appendFrame(valid, MsgChunk, encodeChunk(chunkMsg{Session: 1, Seq: 1, Data: []byte("beta")}))
-	valid = appendFrame(valid, MsgCommit, encodeCommit(commitMsg{Session: 1, Chunks: 2, LogLen: 9, LogCRC: 0xDEAD}))
+	valid = append(valid, frameBytes(MsgHello, encodeHello(helloMsg{Proto: ProtoVersion, Session: 1, Tenant: "seed"}))...)
+	valid = append(valid, frameBytes(MsgChunk, encodeChunk(chunkMsg{Session: 1, Seq: 0, Data: []byte("alpha")}))...)
+	valid = append(valid, frameBytes(MsgChunk, encodeChunk(chunkMsg{Session: 1, Seq: 1, Data: []byte("beta")}))...)
+	valid = append(valid, frameBytes(MsgCommit, encodeCommit(commitMsg{Session: 1, Chunks: 2, LogLen: 9, LogCRC: 0xDEAD}))...)
 
 	truncated := append([]byte(nil), valid[:len(valid)-7]...)
 
 	duplicated := preamble()
-	duplicated = appendFrame(duplicated, MsgHello, encodeHello(helloMsg{Proto: ProtoVersion, Session: 2}))
-	chunk := appendFrame(nil, MsgChunk, encodeChunk(chunkMsg{Session: 2, Seq: 0, Data: []byte("dup")}))
+	duplicated = append(duplicated, frameBytes(MsgHello, encodeHello(helloMsg{Proto: ProtoVersion, Session: 2}))...)
+	chunk := frameBytes(MsgChunk, encodeChunk(chunkMsg{Session: 2, Seq: 0, Data: []byte("dup")}))
 	duplicated = append(duplicated, chunk...)
 	duplicated = append(duplicated, chunk...) // exact re-delivery
 
 	interleaved := preamble()
-	interleaved = appendFrame(interleaved, MsgHello, encodeHello(helloMsg{Proto: ProtoVersion, Session: 3}))
-	interleaved = appendFrame(interleaved, MsgHello, encodeHello(helloMsg{Proto: ProtoVersion, Session: 4}))
-	interleaved = appendFrame(interleaved, MsgChunk, encodeChunk(chunkMsg{Session: 3, Seq: 0, Data: []byte("a3")}))
-	interleaved = appendFrame(interleaved, MsgChunk, encodeChunk(chunkMsg{Session: 4, Seq: 1, Data: []byte("ooo")})) // out of order
-	interleaved = appendFrame(interleaved, MsgChunk, encodeChunk(chunkMsg{Session: 4, Seq: 0, Data: []byte("a4")}))
+	interleaved = append(interleaved, frameBytes(MsgHello, encodeHello(helloMsg{Proto: ProtoVersion, Session: 3}))...)
+	interleaved = append(interleaved, frameBytes(MsgHello, encodeHello(helloMsg{Proto: ProtoVersion, Session: 4}))...)
+	interleaved = append(interleaved, frameBytes(MsgChunk, encodeChunk(chunkMsg{Session: 3, Seq: 0, Data: []byte("a3")}))...)
+	interleaved = append(interleaved, frameBytes(MsgChunk, encodeChunk(chunkMsg{Session: 4, Seq: 1, Data: []byte("ooo")}))...) // out of order
+	interleaved = append(interleaved, frameBytes(MsgChunk, encodeChunk(chunkMsg{Session: 4, Seq: 0, Data: []byte("a4")}))...)
 
 	return [][]byte{valid, truncated, duplicated, interleaved}
 }
@@ -146,13 +167,23 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	names := []string{"seed-valid", "seed-truncated", "seed-duplicated", "seed-interleaved"}
-	for i, seed := range fuzzSeeds() {
+	names := []string{"seed-valid", "seed-truncated", "seed-duplicated", "seed-interleaved", "seed-journal", "seed-journal-torn"}
+	journal := scriptedJournal(t)[8:]
+	for i, seed := range append(fuzzSeeds(), journal, journal[:len(journal)-9]) {
 		body := "go test fuzz v1\n[]byte(" + quoteBytes(seed) + ")"
 		if err := os.WriteFile(filepath.Join(dir, names[i]), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// frameBytes returns one wire frame, as writeFrame sends it.
+func frameBytes(t MsgType, payload []byte) []byte {
+	var b bytes.Buffer
+	if err := writeFrame(&b, t, payload); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
 }
 
 func quoteBytes(b []byte) string {

@@ -1,18 +1,20 @@
 package rrnet
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"sort"
+
+	"relaxreplay/internal/frame"
 )
 
 // The journal is rrproc's single append-only file of record. Every
-// record is a CRC32C frame in the shared wire layout, so recovery is
-// the same salvage-by-resync scan the log decoder uses: a torn tail
+// record is a CRC32C frame in the shared envelope (internal/frame), so
+// recovery is the same salvage-by-resync scan the log decoder uses
+// (frame.Scanner): a torn tail
 // (crash mid-write), a damaged record, or garbage between records
 // costs exactly the unreadable bytes, never the file.
 //
@@ -53,7 +55,7 @@ const (
 // magic/version). Damage past the header is salvaged, not fatal.
 var ErrBadJournal = errors.New("rrnet: not a journal file")
 
-// Journal is the append side. Writes are serialized; a segment
+// Journal is the append side. Callers serialize writes; a segment
 // boundary (jr-segment record + fsync) lands after every
 // fsyncEvery bytes and on every commit.
 type Journal struct {
@@ -61,6 +63,12 @@ type Journal struct {
 	off        int64
 	fsyncEvery int
 	sinceSync  int
+
+	// p is the record payload being built and out the record frame;
+	// both are reused across records, so they hold at most one
+	// MaxWirePayload chunk each.
+	p   frame.Buf
+	out []byte
 }
 
 // OpenJournal opens (creating or appending) the journal at path.
@@ -109,65 +117,76 @@ func OpenJournal(path string, fsyncEvery int) (*Journal, error) {
 	return j, nil
 }
 
-// append writes one record frame; returns true when it triggered a
-// segment fsync (everything written so far is now durable).
-func (j *Journal) append(t MsgType, payload []byte) (synced bool, err error) {
-	buf := appendFrame(nil, t, payload)
-	if _, err := j.f.Write(buf); err != nil {
+// append writes the record built in j.p; returns true when it
+// triggered a segment fsync (everything written so far is now
+// durable).
+func (j *Journal) append(t MsgType) (synced bool, err error) {
+	if err := j.write(t); err != nil {
 		return false, err
 	}
-	j.off += int64(len(buf))
-	j.sinceSync += len(buf)
 	if j.sinceSync >= j.fsyncEvery {
 		return true, j.barrier()
 	}
 	return false, nil
 }
 
-// barrier writes a jr-segment record and fsyncs.
-func (j *Journal) barrier() error {
-	var p wirePayload
-	p.u64(uint64(j.off))
-	buf := appendFrame(nil, JrSegment, p.Bytes())
-	if _, err := j.f.Write(buf); err != nil {
+// write frames j.p as one record of type t and writes it.
+func (j *Journal) write(t MsgType) error {
+	out, err := frame.Append(j.out[:0], uint8(t), j.p.Bytes(), MaxWirePayload)
+	if err != nil {
+		return fmt.Errorf("%w: %s %w", ErrFrameTooLarge, t, err)
+	}
+	j.out = out
+	if _, err := j.f.Write(out); err != nil {
 		return err
 	}
-	j.off += int64(len(buf))
+	j.off += int64(len(out))
+	j.sinceSync += len(out)
+	return nil
+}
+
+// barrier writes a jr-segment record and fsyncs.
+func (j *Journal) barrier() error {
+	j.p.Reset()
+	j.p.U64(uint64(j.off))
+	if err := j.write(JrSegment); err != nil {
+		return err
+	}
 	j.sinceSync = 0
 	return j.f.Sync()
 }
 
 // Session journals a session-open record.
 func (j *Journal) Session(id uint64, tenant string) (bool, error) {
-	var p wirePayload
-	p.u64(id)
-	p.str(tenant)
-	return j.append(JrSession, p.Bytes())
+	j.p.Reset()
+	j.p.U64(id)
+	j.p.Str(tenant)
+	return j.append(JrSession)
 }
 
 // Chunk journals one in-order chunk.
 func (j *Journal) Chunk(id, seq uint64, data []byte) (bool, error) {
-	var p wirePayload
-	p.Grow(16 + len(data))
-	p.u64(id)
-	p.u64(seq)
-	p.Write(data)
-	return j.append(JrChunk, p.Bytes())
+	j.p.Reset()
+	j.p.U64(id)
+	j.p.U64(seq)
+	j.p.Raw(data)
+	return j.append(JrChunk)
 }
 
 // Commit journals the session verdict and forces a segment barrier:
 // an acked commit is always durable.
 func (j *Journal) Commit(id uint64, status uint8, chunks, logLen uint64, logCRC uint32, nDrop, missing uint64, reason string) error {
-	var p wirePayload
-	p.u64(id)
-	p.u8(status)
-	p.u64(chunks)
-	p.u64(logLen)
-	p.u32(logCRC)
-	p.u64(nDrop)
-	p.u64(missing)
-	p.str(reason)
-	if _, err := j.append(JrCommit, p.Bytes()); err != nil {
+	p := &j.p
+	p.Reset()
+	p.U64(id)
+	p.U8(status)
+	p.U64(chunks)
+	p.U64(logLen)
+	p.U32(logCRC)
+	p.U64(nDrop)
+	p.U64(missing)
+	p.Str(reason)
+	if _, err := j.append(JrCommit); err != nil {
 		return err
 	}
 	return j.barrier()
@@ -217,6 +236,20 @@ type JournalView struct {
 }
 
 // ReadJournal scans (and salvages) a journal file.
+func ReadJournal(path string) (*JournalView, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	v := readJournal(raw)
+	if v == nil {
+		return nil, fmt.Errorf("%w: %s", ErrBadJournal, path)
+	}
+	return v, nil
+}
+
+// readJournal recovers a journal from its bytes; nil means they are
+// not a journal at all.
 //
 // The scan is byte-accurate: on a CRC failure or an impossible length
 // it rewinds to one byte past the candidate sync word and hunts
@@ -226,132 +259,94 @@ type JournalView struct {
 // trusted the torn header's length would swallow the next intact
 // records, and the session's contiguity rule would then discard the
 // entire re-streamed tail.
-func ReadJournal(path string) (*JournalView, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+func readJournal(raw []byte) *JournalView {
 	if len(raw) < 8 || [4]byte(raw[:4]) != journalMagic || raw[4] != JournalVersion {
-		return nil, fmt.Errorf("%w: %s", ErrBadJournal, path)
+		return nil
 	}
 	v := &JournalView{Sessions: make(map[uint64]*JournalSession)}
-	for _, rec := range scanFrames(raw[8:], v) {
-		t, payload := rec.t, rec.payload
-		s := &byteScanner{data: payload}
-		switch t {
-		case JrSession:
-			id := s.u64()
-			tenant := s.str(MaxTenantLen)
-			if s.short {
-				v.DroppedFrames++
-				continue
-			}
-			sess := v.session(id)
-			if sess.Tenant == "" {
-				sess.Tenant = tenant
-			}
-		case JrChunk:
-			id, seq := s.u64(), s.u64()
-			if s.short {
-				v.DroppedFrames++
-				continue
-			}
-			data := s.take(s.remaining())
-			sess := v.session(id)
-			// Invariant 1 (in-order) holds per server lifetime, but a
-			// restart legitimately re-journals chunks the client
-			// re-sent past the recovery point — those arrive as exact
-			// duplicates (seq < Chunks) and are skipped. A seq AHEAD
-			// of the prefix means a record was destroyed; chunks past
-			// a real gap cannot be placed and count as dropped.
-			switch {
-			case seq == sess.Chunks:
-				sess.Data = append(sess.Data, data...)
-				sess.Chunks++
-			case seq < sess.Chunks:
-				v.DupChunks++
-			default:
-				v.DroppedFrames++
-			}
-		case JrCommit:
-			id := s.u64()
-			status := s.u8()
-			chunks, logLen := s.u64(), s.u64()
-			logCRC := s.u32()
-			nDrop, missing := s.u64(), s.u64()
-			reason := s.str(MaxReasonLen)
-			if s.short {
-				v.DroppedFrames++
-				continue
-			}
-			sess := v.session(id)
-			sess.Committed = true
-			sess.Status = status
-			sess.LogLen, sess.LogCRC = logLen, logCRC
-			sess.NDrop, sess.Missing = nDrop, missing
-			sess.Reason = reason
-			_ = chunks
-		case JrSegment:
-			// Everything applied so far was fsync-covered.
-			for _, sess := range v.Sessions {
-				sess.Durable = sess.Chunks
-			}
+	s := frame.NewScanner(raw[8:], MaxWirePayload, nil)
+	for {
+		f, ok := s.Next()
+		if !ok {
+			break
+		}
+		if f.BadCRC {
+			v.DroppedFrames++
+			continue
+		}
+		v.apply(MsgType(f.Type), f.Payload)
+	}
+	// A candidate running past EOF is a torn tail (or a lying length);
+	// so is a stub too short to be a frame.
+	v.SkippedBytes = s.Skipped() + int64(s.Tail())
+	v.TornTail = s.Torn() || s.Tail() > 0
+	return v
+}
+
+// apply replays one intact record into the view.
+func (v *JournalView) apply(t MsgType, payload []byte) {
+	s := &frame.Cursor{Data: payload}
+	switch t {
+	case JrSession:
+		id := s.U64()
+		tenant := s.Str(MaxTenantLen)
+		if s.Short {
+			v.DroppedFrames++
+			return
+		}
+		sess := v.session(id)
+		if sess.Tenant == "" {
+			sess.Tenant = tenant
+		}
+	case JrChunk:
+		id, seq := s.U64(), s.U64()
+		if s.Short {
+			v.DroppedFrames++
+			return
+		}
+		data := s.Rest()
+		sess := v.session(id)
+		// Invariant 1 (in-order) holds per server lifetime, but a
+		// restart legitimately re-journals chunks the client
+		// re-sent past the recovery point — those arrive as exact
+		// duplicates (seq < Chunks) and are skipped. A seq AHEAD
+		// of the prefix means a record was destroyed; chunks past
+		// a real gap cannot be placed and count as dropped.
+		switch {
+		case seq == sess.Chunks:
+			sess.Data = append(sess.Data, data...)
+			sess.Chunks++
+		case seq < sess.Chunks:
+			v.DupChunks++
 		default:
 			v.DroppedFrames++
 		}
-	}
-	return v, nil
-}
-
-type journalRec struct {
-	t       MsgType
-	payload []byte
-}
-
-// scanFrames walks raw with byte-accurate resync, returning the
-// intact record frames and folding the salvage accounting into v.
-func scanFrames(raw []byte, v *JournalView) []journalRec {
-	var recs []journalRec
-	pos := 0
-	for pos+13 <= len(raw) {
-		if raw[pos] != wireSync[0] || raw[pos+1] != wireSync[1] ||
-			raw[pos+2] != wireSync[2] || raw[pos+3] != wireSync[3] {
-			pos++
-			v.SkippedBytes++
-			continue
-		}
-		length := binary.LittleEndian.Uint32(raw[pos+5:])
-		if length > MaxWirePayload {
-			pos++
-			v.SkippedBytes++
-			continue
-		}
-		end := pos + 13 + int(length)
-		if end > len(raw) {
-			// Extends past EOF: a torn tail (or a lying length).
-			// Mark the tear but keep hunting — with append-after-
-			// crash the file continues past a mid-file tear.
-			v.TornTail = true
-			pos++
-			v.SkippedBytes++
-			continue
-		}
-		crc := crc32.Update(0, castagnoli, raw[pos+4:pos+9])
-		crc = crc32.Update(crc, castagnoli, raw[pos+9:end-4])
-		if crc != binary.LittleEndian.Uint32(raw[end-4:]) {
+	case JrCommit:
+		id := s.U64()
+		status := s.U8()
+		s.U64() // chunks: the client's count, informational
+		logLen := s.U64()
+		logCRC := s.U32()
+		nDrop, missing := s.U64(), s.U64()
+		reason := s.Str(MaxReasonLen)
+		if s.Short {
 			v.DroppedFrames++
-			pos++
-			v.SkippedBytes++
-			continue
+			return
 		}
-		recs = append(recs, journalRec{t: MsgType(raw[pos+4]), payload: raw[pos+9 : end-4]})
-		pos = end
+		sess := v.session(id)
+		sess.Committed = true
+		sess.Status = status
+		sess.LogLen, sess.LogCRC = logLen, logCRC
+		sess.NDrop, sess.Missing = nDrop, missing
+		sess.Reason = reason
+	case JrSegment:
+		// Everything applied so far was fsync-covered.
+		for _, sess := range v.Sessions {
+			sess.Durable = sess.Chunks
+		}
+	default:
+		v.DroppedFrames++
 	}
-	if pos < len(raw) {
-		v.SkippedBytes += int64(len(raw) - pos)
-		v.TornTail = true
-	}
-	return recs
 }
 
 func (v *JournalView) session(id uint64) *JournalSession {
@@ -377,7 +372,7 @@ func (v *JournalView) SortedIDs() []uint64 {
 
 // Export writes one session's reassembled log bytes to w. For a
 // committed StatusOK session this is byte-identical to what the
-// client's WriteLogV3 produced locally (verified: rolling CRC).
+// client's WriteLog produced locally (verified: rolling CRC).
 func (v *JournalView) Export(id uint64, w io.Writer) error {
 	sess := v.Sessions[id]
 	if sess == nil {
@@ -400,7 +395,7 @@ func (sess *JournalSession) Verify() error {
 	if uint64(len(sess.Data)) != sess.LogLen {
 		return fmt.Errorf("rrnet: session %d: journal holds %d bytes, commit declared %d", sess.ID, len(sess.Data), sess.LogLen)
 	}
-	if crc := crc32.Checksum(sess.Data, castagnoli); crc != sess.LogCRC {
+	if crc := crc32.Checksum(sess.Data, frame.Castagnoli); crc != sess.LogCRC {
 		return fmt.Errorf("rrnet: session %d: journal CRC %08x != committed CRC %08x", sess.ID, crc, sess.LogCRC)
 	}
 	return nil

@@ -5,9 +5,9 @@
 // concurrent rrd sessions into a single append-only journal.
 //
 // The design is robustness-first. Everything on the wire is a
-// CRC32C-checked frame in the same sync/type/length/checksum layout
-// as log format v2/v3 (internal/replaylog), so a damaged stream is
-// resynchronized, never trusted; the client retries with capped
+// CRC32C-checked frame in the envelope log formats v2/v3 use
+// (internal/frame), so a damaged stream is resynchronized, never
+// trusted; the client retries with capped
 // exponential backoff plus deterministic jitter and resumes a session
 // after reconnect from the server's cumulative ack; the send queue is
 // bounded with an explicit slow-consumer policy (block, drop with a
@@ -19,13 +19,12 @@
 package rrnet
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"relaxreplay/internal/frame"
 )
 
 // Wire preamble: sent by the client immediately after connecting.
@@ -33,12 +32,10 @@ import (
 //	preamble := magic "RRNT" | version u16 (LE)
 //
 // Everything after the preamble — in both directions — is a frame in
-// the replaylog v2 layout:
+// the envelope of internal/frame, the one log files use:
 //
-//	frame := sync 0xF5 'R' 'F' '2'
-//	       | type u8 | length u32 (LE, payload bytes)
-//	       | payload
-//	       | crc32c u32 (LE, over type|length|payload)
+//	frame := sync | type u8 | length u32 (LE, payload bytes)
+//	       | payload | crc32c u32 (LE, over type|length|payload)
 //
 // Message payloads (all integers little-endian, strings u16-length-
 // prefixed):
@@ -72,14 +69,6 @@ var wireMagic = [4]byte{'R', 'R', 'N', 'T'}
 
 // ProtoVersion is the wire protocol version in the preamble and hello.
 const ProtoVersion = 1
-
-// wireSync mirrors the replaylog v2/v3 frame sync word: the wire
-// reuses the exact on-disk framing so one CRC/resync implementation
-// (and one set of fuzz-hardened habits) covers both.
-var wireSync = [4]byte{0xF5, 'R', 'F', '2'}
-
-// castagnoli is the CRC32C table (hardware-accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // MsgType discriminates wire frames. The range starts at 0x20, clear
 // of the replaylog frame types (1..8), so a wire frame can never be
@@ -155,133 +144,19 @@ var (
 	ErrFrameTooLarge = errors.New("rrnet: wire frame too large")
 	// ErrResyncBudget reports a stream that needed more garbage skipped
 	// than the reader's budget allows.
-	ErrResyncBudget = errors.New("rrnet: resync budget exhausted")
+	ErrResyncBudget = frame.ErrResyncBudget
 )
 
-// appendFrame appends one checksummed frame to dst and returns it.
-// The single-buffer shape lets the caller hand one complete frame to
-// one Write call, which is what the fault transport (WrapFaultConn)
-// keys on: one Write == one frame.
-func appendFrame(dst []byte, t MsgType, payload []byte) []byte {
-	var hdr [9]byte
-	copy(hdr[:4], wireSync[:])
-	hdr[4] = uint8(t)
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
-	crc := crc32.Update(0, castagnoli, hdr[4:])
-	crc = crc32.Update(crc, castagnoli, payload)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	return append(dst, tail[:]...)
-}
-
-// writeFrame writes one frame to w as a single Write call.
+// writeFrame writes one frame to w as a single Write call, which is
+// what the fault transport (WrapFaultConn) keys on: one Write == one
+// frame.
 func writeFrame(w io.Writer, t MsgType, payload []byte) error {
-	if len(payload) > MaxWirePayload {
-		return fmt.Errorf("%w: %s frame payload is %d bytes (limit %d)",
-			ErrFrameTooLarge, t, len(payload), MaxWirePayload)
+	buf, err := frame.Append(make([]byte, 0, frame.Overhead+len(payload)), uint8(t), payload, MaxWirePayload)
+	if err != nil {
+		return fmt.Errorf("%w: %s %w", ErrFrameTooLarge, t, err)
 	}
-	buf := appendFrame(make([]byte, 0, 13+len(payload)), t, payload)
-	_, err := w.Write(buf)
+	_, err = w.Write(buf)
 	return err
-}
-
-// frameReader reads frames from a (possibly hostile) byte stream,
-// resynchronizing past garbage and CRC failures the way the log
-// decoder does. It never allocates more than MaxWirePayload per frame
-// regardless of what the length field claims.
-type frameReader struct {
-	r *bufio.Reader
-
-	// skipBudget bounds the total garbage bytes tolerated before the
-	// stream is declared unusable (<=0: no budget, for trusted pipes).
-	skipBudget int64
-
-	// Skipped and Dropped count resynced bytes and CRC-failed frames.
-	Skipped int64
-	Dropped int
-}
-
-func newFrameReader(r io.Reader, skipBudget int64) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, 64<<10), skipBudget: skipBudget}
-}
-
-// next returns the next intact frame, skipping garbage and corrupt
-// frames. io.EOF means a clean end between frames; io.ErrUnexpectedEOF
-// a tear inside one.
-func (fr *frameReader) next() (MsgType, []byte, error) {
-	for {
-		// Hunt for the sync word byte by byte.
-		b, err := fr.r.ReadByte()
-		if err != nil {
-			return 0, nil, err
-		}
-		if b != wireSync[0] {
-			if err := fr.skip(1); err != nil {
-				return 0, nil, err
-			}
-			continue
-		}
-		rest, err := fr.r.Peek(3)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, nil, err
-		}
-		if rest[0] != wireSync[1] || rest[1] != wireSync[2] || rest[2] != wireSync[3] {
-			if err := fr.skip(1); err != nil {
-				return 0, nil, err
-			}
-			continue
-		}
-		if _, err := fr.r.Discard(3); err != nil {
-			return 0, nil, err
-		}
-		var hdr [5]byte // type u8 | length u32
-		if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, nil, err
-		}
-		length := binary.LittleEndian.Uint32(hdr[1:])
-		if length > MaxWirePayload {
-			// The length field cannot be trusted; everything consumed
-			// past the sync word is garbage. Resync from here.
-			if err := fr.skip(int64(len(hdr)) + 3); err != nil {
-				return 0, nil, err
-			}
-			continue
-		}
-		body := make([]byte, length+4)
-		if _, err := io.ReadFull(fr.r, body); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, nil, err
-		}
-		crc := crc32.Update(0, castagnoli, hdr[:])
-		crc = crc32.Update(crc, castagnoli, body[:length])
-		if crc != binary.LittleEndian.Uint32(body[length:]) {
-			fr.Dropped++
-			if err := fr.skip(int64(len(hdr)) + 3 + int64(len(body))); err != nil {
-				return 0, nil, err
-			}
-			continue
-		}
-		return MsgType(hdr[0]), body[:length], nil
-	}
-}
-
-// skip charges n bytes against the resync budget.
-func (fr *frameReader) skip(n int64) error {
-	fr.Skipped += n
-	if fr.skipBudget > 0 && fr.Skipped > fr.skipBudget {
-		return fmt.Errorf("%w: skipped %d bytes", ErrResyncBudget, fr.Skipped)
-	}
-	return nil
 }
 
 // writePreamble / readPreamble frame the connection open.
@@ -307,94 +182,6 @@ func readPreamble(r io.Reader) error {
 	return nil
 }
 
-// payload builders / parsers. The byteScanner mirrors replaylog's
-// bounds-checked cursor: reads past the end set short, never panic.
-
-type wirePayload struct{ bytes.Buffer }
-
-func (p *wirePayload) u8(v uint8) { p.WriteByte(v) }
-func (p *wirePayload) u16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	p.Write(b[:])
-}
-func (p *wirePayload) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	p.Write(b[:])
-}
-func (p *wirePayload) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	p.Write(b[:])
-}
-func (p *wirePayload) str(s string) {
-	p.u16(uint16(len(s)))
-	p.WriteString(s)
-}
-
-type byteScanner struct {
-	data  []byte
-	pos   int
-	short bool
-}
-
-func (b *byteScanner) remaining() int { return len(b.data) - b.pos }
-
-func (b *byteScanner) take(n int) []byte {
-	if n < 0 || b.remaining() < n {
-		b.short = true
-		b.pos = len(b.data)
-		return nil
-	}
-	out := b.data[b.pos : b.pos+n]
-	b.pos += n
-	return out
-}
-
-func (b *byteScanner) u8() uint8 {
-	s := b.take(1)
-	if s == nil {
-		return 0
-	}
-	return s[0]
-}
-
-func (b *byteScanner) u16() uint16 {
-	s := b.take(2)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(s)
-}
-
-func (b *byteScanner) u32() uint32 {
-	s := b.take(4)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(s)
-}
-
-func (b *byteScanner) u64() uint64 {
-	s := b.take(8)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(s)
-}
-
-// str reads a u16-length-prefixed string clamped to limit.
-func (b *byteScanner) str(limit int) string {
-	n := int(b.u16())
-	if n > limit {
-		b.short = true
-		b.pos = len(b.data)
-		return ""
-	}
-	return string(b.take(n))
-}
-
 // Message structs and their codecs.
 
 type helloMsg struct {
@@ -405,22 +192,22 @@ type helloMsg struct {
 }
 
 func encodeHello(m helloMsg) []byte {
-	var p wirePayload
-	p.u16(m.Proto)
-	p.u64(m.Session)
+	var p frame.Buf
+	p.U16(m.Proto)
+	p.U64(m.Session)
 	r := uint8(0)
 	if m.Resume {
 		r = 1
 	}
-	p.u8(r)
-	p.str(m.Tenant)
+	p.U8(r)
+	p.Str(m.Tenant)
 	return p.Bytes()
 }
 
 func decodeHello(b []byte) (helloMsg, bool) {
-	s := &byteScanner{data: b}
-	m := helloMsg{Proto: s.u16(), Session: s.u64(), Resume: s.u8() != 0, Tenant: s.str(MaxTenantLen)}
-	return m, !s.short
+	s := &frame.Cursor{Data: b}
+	m := helloMsg{Proto: s.U16(), Session: s.U64(), Resume: s.U8() != 0, Tenant: s.Str(MaxTenantLen)}
+	return m, !s.Short
 }
 
 type helloAckMsg struct {
@@ -431,18 +218,18 @@ type helloAckMsg struct {
 }
 
 func encodeHelloAck(m helloAckMsg) []byte {
-	var p wirePayload
-	p.u8(m.Status)
-	p.u64(m.Contig)
-	p.u64(m.Durable)
-	p.str(m.Reason)
+	var p frame.Buf
+	p.U8(m.Status)
+	p.U64(m.Contig)
+	p.U64(m.Durable)
+	p.Str(m.Reason)
 	return p.Bytes()
 }
 
 func decodeHelloAck(b []byte) (helloAckMsg, bool) {
-	s := &byteScanner{data: b}
-	m := helloAckMsg{Status: s.u8(), Contig: s.u64(), Durable: s.u64(), Reason: s.str(MaxReasonLen)}
-	return m, !s.short
+	s := &frame.Cursor{Data: b}
+	m := helloAckMsg{Status: s.U8(), Contig: s.U64(), Durable: s.U64(), Reason: s.Str(MaxReasonLen)}
+	return m, !s.Short
 }
 
 type chunkMsg struct {
@@ -452,22 +239,22 @@ type chunkMsg struct {
 }
 
 func encodeChunk(m chunkMsg) []byte {
-	var p wirePayload
+	var p frame.Buf
 	p.Grow(16 + len(m.Data))
-	p.u64(m.Session)
-	p.u64(m.Seq)
-	p.Write(m.Data)
+	p.U64(m.Session)
+	p.U64(m.Seq)
+	p.Raw(m.Data)
 	return p.Bytes()
 }
 
 func decodeChunk(b []byte) (chunkMsg, bool) {
-	s := &byteScanner{data: b}
-	m := chunkMsg{Session: s.u64(), Seq: s.u64()}
-	if s.short {
+	s := &frame.Cursor{Data: b}
+	m := chunkMsg{Session: s.U64(), Seq: s.U64()}
+	if s.Short {
 		return m, false
 	}
-	m.Data = s.take(s.remaining())
-	return m, !s.short
+	m.Data = s.Take(s.Remaining())
+	return m, !s.Short
 }
 
 type ackMsg struct {
@@ -477,17 +264,17 @@ type ackMsg struct {
 }
 
 func encodeAck(m ackMsg) []byte {
-	var p wirePayload
-	p.u64(m.Session)
-	p.u64(m.Contig)
-	p.u64(m.Durable)
+	var p frame.Buf
+	p.U64(m.Session)
+	p.U64(m.Contig)
+	p.U64(m.Durable)
 	return p.Bytes()
 }
 
 func decodeAck(b []byte) (ackMsg, bool) {
-	s := &byteScanner{data: b}
-	m := ackMsg{Session: s.u64(), Contig: s.u64(), Durable: s.u64()}
-	return m, !s.short
+	s := &frame.Cursor{Data: b}
+	m := ackMsg{Session: s.U64(), Contig: s.U64(), Durable: s.U64()}
+	return m, !s.Short
 }
 
 type commitMsg struct {
@@ -500,34 +287,34 @@ type commitMsg struct {
 }
 
 func encodeCommit(m commitMsg) []byte {
-	var p wirePayload
-	p.u64(m.Session)
-	p.u64(m.Chunks)
-	p.u64(m.LogLen)
-	p.u32(m.LogCRC)
-	p.u64(m.NDrop)
+	var p frame.Buf
+	p.U64(m.Session)
+	p.U64(m.Chunks)
+	p.U64(m.LogLen)
+	p.U32(m.LogCRC)
+	p.U64(m.NDrop)
 	list := m.Dropped
 	if len(list) > MaxDroppedReport {
 		list = list[:MaxDroppedReport]
 	}
-	p.u32(uint32(len(list)))
+	p.U32(uint32(len(list)))
 	for _, d := range list {
-		p.u64(d)
+		p.U64(d)
 	}
 	return p.Bytes()
 }
 
 func decodeCommit(b []byte) (commitMsg, bool) {
-	s := &byteScanner{data: b}
-	m := commitMsg{Session: s.u64(), Chunks: s.u64(), LogLen: s.u64(), LogCRC: s.u32(), NDrop: s.u64()}
-	n := s.u32()
-	if s.short || n > MaxDroppedReport || int(n)*8 > s.remaining() {
+	s := &frame.Cursor{Data: b}
+	m := commitMsg{Session: s.U64(), Chunks: s.U64(), LogLen: s.U64(), LogCRC: s.U32(), NDrop: s.U64()}
+	n := s.U32()
+	if s.Short || n > MaxDroppedReport || int(n)*8 > s.Remaining() {
 		return m, false
 	}
 	for i := uint32(0); i < n; i++ {
-		m.Dropped = append(m.Dropped, s.u64())
+		m.Dropped = append(m.Dropped, s.U64())
 	}
-	return m, !s.short
+	return m, !s.Short
 }
 
 type commitAckMsg struct {
@@ -538,30 +325,30 @@ type commitAckMsg struct {
 }
 
 func encodeCommitAck(m commitAckMsg) []byte {
-	var p wirePayload
-	p.u64(m.Session)
-	p.u8(m.Status)
-	p.u64(m.Missing)
-	p.str(m.Reason)
+	var p frame.Buf
+	p.U64(m.Session)
+	p.U8(m.Status)
+	p.U64(m.Missing)
+	p.Str(m.Reason)
 	return p.Bytes()
 }
 
 func decodeCommitAck(b []byte) (commitAckMsg, bool) {
-	s := &byteScanner{data: b}
-	m := commitAckMsg{Session: s.u64(), Status: s.u8(), Missing: s.u64(), Reason: s.str(MaxReasonLen)}
-	return m, !s.short
+	s := &frame.Cursor{Data: b}
+	m := commitAckMsg{Session: s.U64(), Status: s.U8(), Missing: s.U64(), Reason: s.Str(MaxReasonLen)}
+	return m, !s.Short
 }
 
 func encodeNonce(nonce uint64) []byte {
-	var p wirePayload
-	p.u64(nonce)
+	var p frame.Buf
+	p.U64(nonce)
 	return p.Bytes()
 }
 
 func decodeNonce(b []byte) (uint64, bool) {
-	s := &byteScanner{data: b}
-	n := s.u64()
-	return n, !s.short
+	s := &frame.Cursor{Data: b}
+	n := s.U64()
+	return n, !s.Short
 }
 
 type errorMsg struct {
@@ -570,14 +357,14 @@ type errorMsg struct {
 }
 
 func encodeError(m errorMsg) []byte {
-	var p wirePayload
-	p.u8(m.Code)
-	p.str(m.Message)
+	var p frame.Buf
+	p.U8(m.Code)
+	p.Str(m.Message)
 	return p.Bytes()
 }
 
 func decodeError(b []byte) (errorMsg, bool) {
-	s := &byteScanner{data: b}
-	m := errorMsg{Code: s.u8(), Message: s.str(MaxReasonLen)}
-	return m, !s.short
+	s := &frame.Cursor{Data: b}
+	m := errorMsg{Code: s.U8(), Message: s.Str(MaxReasonLen)}
+	return m, !s.Short
 }

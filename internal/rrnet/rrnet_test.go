@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"relaxreplay/internal/faultinject"
+	"relaxreplay/internal/frame"
 )
 
 // fastClient returns ClientOptions tuned for test speed: millisecond
@@ -160,23 +161,23 @@ func TestParseBackpressure(t *testing.T) {
 func TestFrameResync(t *testing.T) {
 	var stream []byte
 	stream = append(stream, []byte("leading garbage")...)
-	stream = appendFrame(stream, MsgHeartbeat, encodeNonce(7))
+	stream = append(stream, frameBytes(MsgHeartbeat, encodeNonce(7))...)
 	stream = append(stream, 0xF5, 'R', 'F') // sync-word prefix tease
-	corrupt := appendFrame(nil, MsgChunk, encodeChunk(chunkMsg{Session: 1, Seq: 0, Data: []byte("x")}))
+	corrupt := frameBytes(MsgChunk, encodeChunk(chunkMsg{Session: 1, Seq: 0, Data: []byte("x")}))
 	corrupt[len(corrupt)-1] ^= 0xFF // break the CRC
 	stream = append(stream, corrupt...)
-	stream = appendFrame(stream, MsgAck, encodeAck(ackMsg{Session: 1, Contig: 5, Durable: 3}))
+	stream = append(stream, frameBytes(MsgAck, encodeAck(ackMsg{Session: 1, Contig: 5, Durable: 3}))...)
 
-	fr := newFrameReader(bytes.NewReader(stream), 0)
-	tp, payload, err := fr.next()
-	if err != nil || tp != MsgHeartbeat {
+	fr := frame.NewReader(bytes.NewReader(stream), MaxWirePayload, 0)
+	tp, payload, err := fr.Next()
+	if err != nil || MsgType(tp) != MsgHeartbeat {
 		t.Fatalf("first frame: %v %v", tp, err)
 	}
 	if n, ok := decodeNonce(payload); !ok || n != 7 {
 		t.Fatalf("nonce: %d %v", n, ok)
 	}
-	tp, payload, err = fr.next()
-	if err != nil || tp != MsgAck {
+	tp, payload, err = fr.Next()
+	if err != nil || MsgType(tp) != MsgAck {
 		t.Fatalf("second frame: %v %v", tp, err)
 	}
 	if m, ok := decodeAck(payload); !ok || m.Contig != 5 || m.Durable != 3 {
@@ -188,7 +189,7 @@ func TestFrameResync(t *testing.T) {
 	if fr.Skipped == 0 {
 		t.Error("Skipped = 0, want > 0 (the leading garbage)")
 	}
-	if _, _, err := fr.next(); err == nil {
+	if _, _, err := fr.Next(); err == nil {
 		t.Error("expected EOF-ish error at stream end")
 	}
 }
@@ -680,7 +681,7 @@ func TestKillRestartRecovery(t *testing.T) {
 	if !bytes.Equal(sess.Data, payload) {
 		t.Fatal("recovered session bytes differ from the client's log")
 	}
-	if crc := crc32.Checksum(payload, castagnoli); crc != sess.LogCRC {
+	if crc := crc32.Checksum(payload, frame.Castagnoli); crc != sess.LogCRC {
 		t.Fatalf("committed CRC %08x != payload CRC %08x", sess.LogCRC, crc)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"relaxreplay/internal/frame"
 	"relaxreplay/internal/telemetry"
 )
 
@@ -114,7 +115,7 @@ func (s *Server) recover() error {
 			id: id, tenant: js.Tenant,
 			contig:  js.Chunks,
 			bytes:   uint64(len(js.Data)),
-			crc:     crc32.Checksum(js.Data, castagnoli),
+			crc:     crc32.Checksum(js.Data, frame.Castagnoli),
 			pending: make(map[uint64][]byte),
 		}
 		ss.durable.Store(js.Durable)
@@ -211,17 +212,17 @@ func (s *Server) ServeConn(nc net.Conn) {
 		s.sendError(nc, 1, err.Error())
 		return
 	}
-	fr := newFrameReader(nc, 1<<20)
+	fr := frame.NewReader(nc, MaxWirePayload, 1<<20)
 	var sess *serverSession
 	for {
 		if err := s.readDeadline(nc); err != nil {
 			return
 		}
-		t, payload, err := fr.next()
+		t, payload, err := fr.Next()
 		if err != nil {
 			return
 		}
-		switch t {
+		switch MsgType(t) {
 		case MsgHello:
 			m, ok := decodeHello(payload)
 			if !ok || m.Proto != ProtoVersion {
@@ -413,7 +414,7 @@ func (s *Server) extend(sess *serverSession, data []byte) error {
 	if err != nil {
 		return err
 	}
-	sess.crc = crc32.Update(sess.crc, castagnoli, data)
+	sess.crc = crc32.Update(sess.crc, frame.Castagnoli, data)
 	sess.bytes += uint64(len(data))
 	if len(data) == 0 {
 		sess.gaps++
@@ -496,7 +497,7 @@ func storeMax(a *atomic.Uint64, v uint64) {
 //
 //   - identical: no shed chunks, every chunk present, byte count and
 //     rolling CRC match the client's — the journaled bytes are the
-//     client's WriteLogV3 output, bit for bit.
+//     client's WriteLog output, bit for bit.
 //   - degraded-with-report: the client shed chunks under Drop policy
 //     (tombstones leave gaps), or chunks never arrived; the gap count
 //     travels in the verdict.

@@ -184,7 +184,7 @@ type Config struct {
 	// remote cores, reorder instants, queue occupancy) as a sideband on
 	// the log. It observes only: the interval log is byte-identical with
 	// or without it, and nil costs nothing on the recording hot path.
-	// The sideband is persisted by WriteLogV3 and read back by every
+	// The sideband is persisted by WriteLog and read back by every
 	// decode path; rrtrace and divergence forensics consume it.
 	Provenance *ProvenanceCollector
 }
@@ -380,17 +380,13 @@ func (r *Recording) FinalMemory() map[uint64]uint64 {
 // or nil when the recording ran without a Config.Provenance collector.
 func (r *Recording) Provenance() []CoreProvenance { return r.res.Log.Provenance }
 
-// WriteLog serializes the raw log (with the recorded input streams) to
-// w, in the checksummed v2 framing.
-func (r *Recording) WriteLog(w io.Writer) error { return replaylog.Encode(w, r.res.Log) }
-
-// WriteLogV3 serializes the raw log in the compressed, seekable v3
-// format: delta/varint group frames with a flate stage, plus a segment
-// index footer that lets OpenIndexed seek individual intervals without
-// a full scan. v3 files are typically a fraction of the v2 size and
-// decode on all the same paths (ReadLog, ReadLogRobust, and the
-// parallel variants).
-func (r *Recording) WriteLogV3(w io.Writer) error { return replaylog.EncodeV3(w, r.res.Log) }
+// WriteLog serializes the raw log (with the recorded input streams and
+// any provenance sideband) to w in log format v3: CRC32C-framed,
+// delta/varint group frames with a flate stage, plus a segment index
+// footer that lets OpenIndexed seek individual intervals without a
+// full scan. The readers (ReadLog, ReadLogRobust and the parallel
+// variants) also accept the older v1 and v2 formats.
+func (r *Recording) WriteLog(w io.Writer) error { return replaylog.EncodeV3(w, r.res.Log) }
 
 // WriteLogWith is WriteLog under fault injection: the encoder consults
 // inj's log.dupframe point, and the encoded bytes pass through
@@ -400,7 +396,7 @@ func (r *Recording) WriteLogV3(w io.Writer) error { return replaylog.EncodeV3(w,
 // WriteLog.
 func (r *Recording) WriteLogWith(w io.Writer, inj *FaultInjector) ([]string, error) {
 	var buf bytes.Buffer
-	if err := replaylog.EncodeWith(&buf, r.res.Log, inj); err != nil {
+	if err := replaylog.EncodeV3With(&buf, r.res.Log, replaylog.V3Options{}, inj); err != nil {
 		return nil, err
 	}
 	data, applied := inj.Corrupt(buf.Bytes())
@@ -459,14 +455,10 @@ func ReadLogRobustParallel(rd io.Reader) (*Log, *CorruptionReport, error) {
 }
 
 // WriteSalvagedLog re-encodes a log — typically the survivor returned
-// by ReadLogRobust — as a clean, fully-checksummed file: the repair
-// path of rrlog -repair.
-func WriteSalvagedLog(w io.Writer, l *Log) error { return replaylog.Encode(w, l) }
-
-// WriteSalvagedLogV3 is WriteSalvagedLog in the v3 format: the repair
-// path of rrlog -repair -v3, upgrading a damaged v1/v2/v3 log to a
-// clean compressed-and-indexed file in one pass.
-func WriteSalvagedLogV3(w io.Writer, l *Log) error { return replaylog.EncodeV3(w, l) }
+// by ReadLogRobust — as a clean v3 file: the repair path of rrlog
+// -repair, which turns a damaged v1, v2 or v3 log into a clean,
+// indexed one in one pass.
+func WriteSalvagedLog(w io.Writer, l *Log) error { return replaylog.EncodeV3(w, l) }
 
 // ReplayResult is the outcome of a verified deterministic replay.
 type ReplayResult struct {

@@ -26,7 +26,7 @@ type StreamClient = rrnet.Client
 type StreamClientOptions = rrnet.ClientOptions
 
 // StreamSession is one in-flight session: an io.WriteCloser that is
-// natural to hand to WriteLogV3.
+// natural to hand to WriteLog.
 type StreamSession = rrnet.SessionWriter
 
 // StreamResult summarizes a committed session.
@@ -99,7 +99,7 @@ func WrapStreamConn(nc net.Conn, inj *FaultInjector) net.Conn {
 // whether the journaled copy is byte-identical (StreamStatusOK) or
 // degraded with a report. The session is consumed either way.
 func (r *Recording) StreamLogV3(sw *StreamSession) (StreamResult, error) {
-	if err := r.WriteLogV3(sw); err != nil {
+	if err := r.WriteLog(sw); err != nil {
 		// Abort, not Close: committing the truncated prefix would
 		// journal it as a healthy session.
 		sw.Abort()
