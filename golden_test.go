@@ -9,10 +9,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"relaxreplay/internal/faultinject"
 	"relaxreplay/internal/replaylog"
 )
 
@@ -108,6 +110,39 @@ func TestGoldenLogV3Digests(t *testing.T) {
 		fmt.Fprintf(&b, "%s %s\n", hex.EncodeToString(sum[:]), c.name)
 	}
 	checkGolden(t, v3DigestFile, b.String())
+}
+
+// TestEncodeV3IndependentOfGOMAXPROCS: the v3 encoder compresses its
+// group frames on up to GOMAXPROCS goroutines, and every digest case
+// must encode to the same bytes with 1, 2 and 8 of them, with and
+// without log.dupframe armed at a fixed seed.
+func TestEncodeV3IndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range digestCases() {
+		rec, err := Record(c.cfg, c.w)
+		if err != nil {
+			t.Fatalf("%s: record: %v", c.name, err)
+		}
+		for _, dup := range []bool{false, true} {
+			var want []byte
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				var inj *faultinject.Injector
+				if dup {
+					inj = faultinject.New(21, faultinject.LogDupFrame)
+				}
+				var buf bytes.Buffer
+				if err := replaylog.EncodeV3With(&buf, rec.res.Log, replaylog.V3Options{}, inj); err != nil {
+					t.Fatalf("%s at GOMAXPROCS=%d: encode: %v", c.name, procs, err)
+				}
+				if want == nil {
+					want = buf.Bytes()
+				} else if !bytes.Equal(buf.Bytes(), want) {
+					t.Errorf("%s (dupframe %v): GOMAXPROCS=%d encodes differently from GOMAXPROCS=1", c.name, dup, procs)
+				}
+			}
+		}
+	}
 }
 
 // salvageFile pins what the robust decoder recovers from damaged v2

@@ -29,9 +29,11 @@ type Result struct {
 	// CyclesPerSec reports simulated cycles per wall-clock second
 	// (recording benchmarks only).
 	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`
-	// LogBytesPerSec reports encoded log bytes produced or consumed per
-	// wall-clock second (encode/decode benchmarks only).
-	LogBytesPerSec float64 `json:"log_bytes_per_sec,omitempty"`
+	// IntervalsPerSec reports the log intervals a codec benchmark takes
+	// in per wall-clock second: the intervals encoded, decoded or
+	// patched. Counting input, not output bytes, lets writers of
+	// different formats and sizes compare.
+	IntervalsPerSec float64 `json:"intervals_per_sec,omitempty"`
 	// CompressionRatio reports encoded-v3 bytes over encoded-v2 bytes
 	// for the same log (encode-v3 benchmark only; < 1.0 means v3 is
 	// smaller).
@@ -120,10 +122,25 @@ func convert(name string, r testing.BenchmarkResult) Result {
 	if cps, ok := r.Extra["cycles/s"]; ok {
 		out.CyclesPerSec = cps
 	}
-	if r.Bytes > 0 && r.T > 0 {
-		out.LogBytesPerSec = float64(r.Bytes) * float64(r.N) / r.T.Seconds()
+	if ips, ok := r.Extra["intervals/s"]; ok {
+		out.IntervalsPerSec = ips
 	}
 	return out
+}
+
+// intervals counts the intervals of every stream of l.
+func intervals(l *replaylog.Log) int {
+	n := 0
+	for _, s := range l.Streams {
+		n += len(s.Intervals)
+	}
+	return n
+}
+
+// reportIntervals reports n intervals per op as the benchmark's
+// intervals/s.
+func reportIntervals(b *testing.B, n int) {
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "intervals/s")
 }
 
 // Run executes every pipeline benchmark once (testing.Benchmark
@@ -144,7 +161,7 @@ func Run() (*Report, error) {
 	}
 
 	rep := &Report{
-		Schema:        "relaxreplay-bench/1",
+		Schema:        "relaxreplay-bench/2",
 		GoOS:          runtime.GOOS,
 		GoArch:        runtime.GOARCH,
 		Workload:      "fft, 4 cores, scale 1 (pipeline); synthetic 8x256 log (codec)",
@@ -168,25 +185,26 @@ func Run() (*Report, error) {
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 	}))
 
+	pipeIvs := intervals(rec.Log())
 	add("encode", testing.Benchmark(func(b *testing.B) {
-		b.SetBytes(int64(encoded.Len()))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := replaylog.Encode(io.Discard, rec.Log()); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportIntervals(b, pipeIvs)
 	}))
 
 	add("decode", testing.Benchmark(func(b *testing.B) {
 		data := encoded.Bytes()
-		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := relaxreplay.ReadLog(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportIntervals(b, pipeIvs)
 	}))
 
 	add("replay", testing.Benchmark(func(b *testing.B) {
@@ -204,25 +222,26 @@ func Run() (*Report, error) {
 		return nil, err
 	}
 
+	synthIvs := intervals(synth)
 	add("encode-synthetic", testing.Benchmark(func(b *testing.B) {
-		b.SetBytes(int64(synthBuf.Len()))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := replaylog.Encode(io.Discard, synth); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportIntervals(b, synthIvs)
 	}))
 
 	add("decode-synthetic", testing.Benchmark(func(b *testing.B) {
 		data := synthBuf.Bytes()
-		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := replaylog.Decode(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportIntervals(b, synthIvs)
 	}))
 
 	add("patch-synthetic", testing.Benchmark(func(b *testing.B) {
@@ -232,6 +251,7 @@ func Run() (*Report, error) {
 				b.Fatal(err)
 			}
 		}
+		reportIntervals(b, synthIvs)
 	}))
 
 	// v3 codec: compressed group frames + segment index (encode), and
@@ -242,13 +262,13 @@ func Run() (*Report, error) {
 	}
 
 	add("encode-v3-synthetic", testing.Benchmark(func(b *testing.B) {
-		b.SetBytes(int64(v3Buf.Len()))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := replaylog.EncodeV3(io.Discard, synth); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportIntervals(b, synthIvs)
 	}))
 	// Pin the size win next to the speed numbers: v3 bytes over v2
 	// bytes for the identical log.
@@ -256,24 +276,24 @@ func Run() (*Report, error) {
 
 	add("decode-v3-synthetic", testing.Benchmark(func(b *testing.B) {
 		data := v3Buf.Bytes()
-		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := replaylog.Decode(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportIntervals(b, synthIvs)
 	}))
 
 	add("decode-v3-parallel-synthetic", testing.Benchmark(func(b *testing.B) {
 		data := v3Buf.Bytes()
-		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := replaylog.DecodeParallel(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportIntervals(b, synthIvs)
 	}))
 
 	return rep, nil

@@ -2,8 +2,6 @@ package replaylog
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"fmt"
 	"io"
 	"sync"
@@ -28,14 +26,15 @@ const (
 )
 
 // encoder is the reusable state of one Encode or EncodeV3 call: the
-// frame being written, the payload being built and, for v3, the group
-// pipeline. It is pooled, so a steady stream of encodes allocates no
-// buffers per frame or per call. count is the running frame total the
-// end frame publishes, so the decoders can detect whole frames
-// vanishing without a trace; off is the byte offset of the next frame
-// after the preamble (the v3 index records it).
+// output buffer, the frame being written, the payload being built and,
+// for v3, the group pipeline. It is pooled, so a steady stream of
+// encodes allocates no buffers per frame or per call. count is the
+// running frame total the end frame publishes, so the decoders can
+// detect whole frames vanishing without a trace; off is the byte
+// offset of the next frame after the preamble (the v3 index records
+// it).
 type encoder struct {
-	bw    *bufio.Writer
+	bw    bufio.Writer
 	out   []byte    // the frame being written (frame.Append's scratch)
 	p     frame.Buf // the payload being built
 	count uint32
@@ -43,18 +42,18 @@ type encoder struct {
 	err   error
 
 	// v3 group pipeline (v3.go).
-	body       frame.Buf    // delta/varint group body
-	comp       bytes.Buffer // flate output
-	group      frame.Buf    // flags | core | body
-	fl         *flate.Writer
-	noCompress bool
+	bodies frame.Buf     // every group's delta/varint body, back to back
+	groups []groupJob    // one per group frame, in file order
+	comps  []*compressor // the flate workers of the current encode
+	group  frame.Buf     // flags | core | body
+	spans  []IndexSpan   // the index being built
 }
 
 var encoderPool sync.Pool
 
-// maxPooledBuf caps the buffers a pooled encoder or inflater keeps:
-// one grown past it by a large or hostile log is dropped, so the pools
-// cannot pin up to MaxFrameLen per entry.
+// maxPooledBuf caps the buffers a pooled encoder, compressor or
+// inflater keeps: one grown past it by a large or hostile log is
+// dropped, so the pools cannot pin up to MaxFrameLen per entry.
 const maxPooledBuf = 1 << 20
 
 // newEncoder takes a pooled encoder and starts a file of the given
@@ -64,7 +63,7 @@ func newEncoder(w io.Writer, version uint16) *encoder {
 	if enc == nil {
 		enc = &encoder{}
 	}
-	enc.bw = bufio.NewWriter(w)
+	enc.bw.Reset(w)
 	enc.count, enc.off, enc.err = 0, 0, nil
 	enc.p.Reset()
 	enc.p.Raw(magic[:])
@@ -73,20 +72,30 @@ func newEncoder(w io.Writer, version uint16) *encoder {
 	return enc
 }
 
-// release returns enc to the pool.
+// release returns enc, and the compressors it borrowed, to their
+// pools.
 func (enc *encoder) release() {
-	enc.bw = nil
+	enc.bw.Reset(nil)
 	if cap(enc.out) > maxPooledBuf {
 		enc.out = nil
 	}
-	for _, b := range [...]*frame.Buf{&enc.p, &enc.body, &enc.group} {
+	for _, b := range [...]*frame.Buf{&enc.p, &enc.bodies, &enc.group} {
 		if b.Cap() > maxPooledBuf {
 			*b = frame.Buf{}
 		}
 	}
-	if enc.comp.Cap() > maxPooledBuf {
-		enc.comp = bytes.Buffer{}
+	// groupJob and IndexSpan entries are under 64 bytes each.
+	if cap(enc.groups) > maxPooledBuf/64 {
+		enc.groups = nil
 	}
+	if cap(enc.spans) > maxPooledBuf/64 {
+		enc.spans = nil
+	}
+	for _, c := range enc.comps {
+		c.release()
+	}
+	clear(enc.comps)
+	enc.comps = enc.comps[:0]
 	encoderPool.Put(enc)
 }
 

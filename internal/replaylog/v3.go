@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"relaxreplay/internal/faultinject"
 	"relaxreplay/internal/frame"
@@ -59,8 +61,9 @@ func EncodeV3(w io.Writer, l *Log) error { return EncodeV3With(w, l, V3Options{}
 
 // EncodeV3With writes the log to w in format v3. The output is
 // deterministic: the same log and options always produce the same
-// bytes. Returns ErrUnordered if any core's intervals are not
-// strictly increasing in Seq or decrease in Timestamp, and
+// bytes, whatever GOMAXPROCS is (the flate stage runs on up to
+// GOMAXPROCS goroutines). Returns ErrUnordered if any core's intervals
+// are not strictly increasing in Seq or decrease in Timestamp, and
 // ErrOversizeFrame under the same count clamps as Encode.
 //
 // inj, when its log.dupframe point is armed, makes the encoder write
@@ -68,6 +71,15 @@ func EncodeV3(w io.Writer, l *Log) error { return EncodeV3With(w, l, V3Options{}
 // must absorb. A nil injector, or one without that point, changes no
 // byte.
 func EncodeV3With(w io.Writer, l *Log, opts V3Options, inj *faultinject.Injector) error {
+	return encodeV3(w, l, opts, inj, runtime.GOMAXPROCS(0))
+}
+
+// encodeV3 is EncodeV3With with the flate stage spread over at most
+// min(workers, streams) goroutines. The bytes, the index spans, when
+// log.dupframe fires and the error returned do not depend on workers:
+// group bodies are built, and frames written, serially in file order;
+// only flate runs on the workers.
+func encodeV3(w io.Writer, l *Log, opts V3Options, inj *faultinject.Injector, workers int) error {
 	if err := checkEncodeCounts(l); err != nil {
 		return err
 	}
@@ -92,8 +104,12 @@ func EncodeV3With(w io.Writer, l *Log, opts V3Options, inj *faultinject.Injector
 
 	enc := newEncoder(w, formatV3)
 	defer enc.release()
-	enc.noCompress = opts.NoCompress
 	enc.headerFrames(l)
+
+	failStream, bodyErr := enc.groupBodies(l, gs)
+	if !opts.NoCompress {
+		enc.compressGroups(min(workers, len(l.Streams)))
+	}
 
 	groups := uint64(0)
 	for si := range l.Streams {
@@ -101,32 +117,29 @@ func EncodeV3With(w io.Writer, l *Log, opts V3Options, inj *faultinject.Injector
 	}
 	inj.ArmWithin(faultinject.LogDupFrame, groups)
 
-	var spans []IndexSpan
+	spans := enc.spans[:0]
+	k := 0
 	for si := range l.Streams {
 		s := &l.Streams[si]
 		enc.streamFrame(s)
-		for i := 0; i < len(s.Intervals); i += gs {
-			j := i + gs
-			if j > len(s.Intervals) {
-				j = len(s.Intervals)
-			}
-			group := s.Intervals[i:j]
-			body, err := enc.groupFrame(s.Core, group)
-			if err != nil {
-				return err
-			}
+		for ; k < len(enc.groups) && enc.groups[k].stream == si; k++ {
+			g := &enc.groups[k]
+			body := enc.groupFrame(s.Core, g)
 			off := preambleLen + enc.off
 			enc.frame(FrameIvGroup, body)
 			spans = append(spans, IndexSpan{
 				Core:     s.Core,
-				FirstSeq: group[0].Seq,
-				LastSeq:  group[len(group)-1].Seq,
+				FirstSeq: s.Intervals[g.lo].Seq,
+				LastSeq:  s.Intervals[g.hi-1].Seq,
 				Offset:   off,
 				Length:   frame.Overhead + len(body),
 			})
 			if inj.Fire(faultinject.LogDupFrame) {
 				enc.frame(FrameIvGroup, body)
 			}
+		}
+		if bodyErr != nil && si == failStream {
+			return bodyErr
 		}
 	}
 
@@ -152,6 +165,7 @@ func EncodeV3With(w io.Writer, l *Log, opts V3Options, inj *faultinject.Injector
 		p.Uvarint(uint64(sp.Length))
 	}
 	enc.frame(FrameIndex, p.Bytes())
+	enc.spans = spans
 
 	p.Reset()
 	p.U32(enc.count)
@@ -170,51 +184,98 @@ const (
 	endFrameLen = frame.Overhead + 12
 )
 
-// groupFrame builds one FrameIvGroup payload for a core's interval
-// run. The returned slice is valid until the next call.
-func (enc *encoder) groupFrame(core int, group []Interval) ([]byte, error) {
-	enc.body.Reset()
-	if err := enc.groupBody(group); err != nil {
-		return nil, err
+// groupJob is one group frame of an encode: its intervals, where its
+// delta/varint body sits in encoder.bodies and, once the flate stage
+// has run, where its compressed body sits in a compressor's output.
+type groupJob struct {
+	stream, lo, hi int // l.Streams[stream].Intervals[lo:hi]
+	start, end     int // raw body: encoder.bodies[start:end]
+	comp           int // compressor index, or -1: the body stays raw
+	cstart, cend   int // compressed body: comps[comp].out[cstart:cend]
+}
+
+// groupBodies delta/varint-encodes every group of gs intervals into
+// enc.bodies and lists it in enc.groups, in file order. It stops at
+// the first group that cannot be encoded and returns that group's
+// stream index and error.
+func (enc *encoder) groupBodies(l *Log, gs int) (int, error) {
+	enc.bodies.Reset()
+	enc.groups = enc.groups[:0]
+	for si := range l.Streams {
+		ivs := l.Streams[si].Intervals
+		for i := 0; i < len(ivs); i += gs {
+			j := min(i+gs, len(ivs))
+			start := len(enc.bodies.Bytes())
+			if err := enc.groupBody(ivs[i:j]); err != nil {
+				return si, err
+			}
+			enc.groups = append(enc.groups, groupJob{stream: si, lo: i, hi: j, start: start, end: len(enc.bodies.Bytes()), comp: -1})
+		}
 	}
+	return 0, nil
+}
+
+// compressGroups runs the flate stage over every listed group, on at
+// most workers goroutines, the caller's among them. Groups are handed
+// out one at a time, so one long stream cannot leave a worker idle.
+// Each group is its own flate stream, so which worker compresses it
+// changes none of its bytes.
+func (enc *encoder) compressGroups(workers int) {
+	if len(enc.groups) == 0 {
+		return
+	}
+	workers = max(1, min(workers, len(enc.groups)))
+	for range workers {
+		c, _ := compressorPool.Get().(*compressor)
+		if c == nil {
+			c = &compressor{}
+		}
+		enc.comps = append(enc.comps, c)
+	}
+	var next atomic.Int64
+	bodies := enc.bodies.Bytes()
+	work := func(ci int) {
+		c := enc.comps[ci]
+		for k := int(next.Add(1) - 1); k < len(enc.groups); k = int(next.Add(1) - 1) {
+			c.compress(ci, &enc.groups[k], bodies)
+		}
+	}
+	var wg sync.WaitGroup
+	for ci := 1; ci < workers; ci++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(ci)
+		}()
+	}
+	work(0)
+	wg.Wait()
+}
+
+// groupFrame assembles one FrameIvGroup payload: flags, core, and the
+// group's body, in its compressed form when that earned the flag. The
+// returned slice is valid until the next call.
+func (enc *encoder) groupFrame(core int, g *groupJob) []byte {
 	flags := uint8(0)
-	body := enc.body.Bytes()
-	if !enc.noCompress {
-		enc.comp.Reset()
-		if enc.fl == nil {
-			// DefaultCompression: group frames are written once and read
-			// many times; spend encode cycles on ratio.
-			enc.fl, _ = flate.NewWriter(&enc.comp, flate.DefaultCompression)
-		} else {
-			enc.fl.Reset(&enc.comp)
-		}
-		if _, err := enc.fl.Write(body); err != nil {
-			return nil, err
-		}
-		if err := enc.fl.Close(); err != nil {
-			return nil, err
-		}
-		// The compressed form must earn its flag: incompressible
-		// bodies (tiny groups, high-entropy values) stay raw.
-		if enc.comp.Len() < len(body) {
-			flags |= flagFlate
-			body = enc.comp.Bytes()
-		}
+	body := enc.bodies.Bytes()[g.start:g.end]
+	if g.comp >= 0 {
+		flags |= flagFlate
+		body = enc.comps[g.comp].out.Bytes()[g.cstart:g.cend]
 	}
 	enc.group.Reset()
 	enc.group.U8(flags)
 	enc.group.Uvarint(uint64(core))
 	enc.group.Raw(body)
-	return enc.group.Bytes(), nil
+	return enc.group.Bytes()
 }
 
-// groupBody delta/varint-encodes one group of intervals into enc.body.
-// This is the encoder's per-interval path, the v3 analogue of the v2
-// frame loop.
+// groupBody appends one group of intervals, delta/varint-encoded, to
+// enc.bodies. This is the encoder's per-interval path, the v3
+// analogue of the v2 frame loop.
 //
 //rrlint:hotpath
 func (enc *encoder) groupBody(group []Interval) error {
-	p := &enc.body
+	p := &enc.bodies
 	p.Uvarint(uint64(len(group)))
 	p.Uvarint(group[0].Seq)
 	p.Uvarint(group[0].Timestamp)
@@ -369,6 +430,52 @@ func decodeCoreGroups(core int, refs []groupRef) v3coreResult {
 		have = true
 	}
 	return res
+}
+
+// compressor is a reusable flate writer and the output buffer of one
+// encode worker: the compressed bodies of the groups it took, back to
+// back. Encodes share the pool, so a steady stream of encodes pays for
+// a writer's window and hash tables once per worker, not per call.
+type compressor struct {
+	fl  *flate.Writer
+	out bytes.Buffer
+}
+
+var compressorPool sync.Pool
+
+// compress deflates g's body onto c.out and, when the compressed form
+// is the smaller, points g at it as compressor ci's output.
+func (c *compressor) compress(ci int, g *groupJob, bodies []byte) {
+	body := bodies[g.start:g.end]
+	start := c.out.Len()
+	if c.fl == nil {
+		// DefaultCompression: group frames are written once and read
+		// many times; spend encode cycles on ratio.
+		c.fl, _ = flate.NewWriter(&c.out, flate.DefaultCompression)
+	} else {
+		c.fl.Reset(&c.out)
+	}
+	// flate fails only when its destination does, and a bytes.Buffer
+	// cannot.
+	_, _ = c.fl.Write(body)
+	_ = c.fl.Close()
+	// The compressed form must earn its flag: incompressible bodies
+	// (tiny groups, high-entropy values) stay raw.
+	if c.out.Len()-start < len(body) {
+		g.comp, g.cstart, g.cend = ci, start, c.out.Len()
+	} else {
+		c.out.Truncate(start)
+	}
+}
+
+// release returns c to the pool, dropping an output buffer grown past
+// maxPooledBuf.
+func (c *compressor) release() {
+	c.out.Reset()
+	if c.out.Cap() > maxPooledBuf {
+		c.out = bytes.Buffer{}
+	}
+	compressorPool.Put(c)
 }
 
 // inflater is a reusable flate reader and output buffer for group

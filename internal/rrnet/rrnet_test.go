@@ -15,6 +15,7 @@ import (
 
 	"relaxreplay/internal/faultinject"
 	"relaxreplay/internal/frame"
+	"relaxreplay/internal/telemetry"
 )
 
 // fastClient returns ClientOptions tuned for test speed: millisecond
@@ -843,9 +844,9 @@ func TestAbortLeavesSessionUncommitted(t *testing.T) {
 // TestDurablePromotionSnapshotExcludesLaterAppends pins the
 // durable-means-fsynced contract against the promotion race: a chunk
 // another session journals between a barrier and that barrier's
-// promotion sweep must NOT be marked durable by the sweep — it is not
-// fsync-covered, and a crash before the next barrier would lose it
-// after the client already freed its copy.
+// promotion must NOT be marked durable by it — it is not fsync-covered,
+// and a crash before the next barrier would lose it after the client
+// already freed its copy.
 func TestDurablePromotionSnapshotExcludesLaterAppends(t *testing.T) {
 	sopts := fastServer(filepath.Join(t.TempDir(), "j.rrjl"))
 	sopts.FsyncEveryBytes = 1 // every append barriers
@@ -863,34 +864,134 @@ func TestDurablePromotionSnapshotExcludesLaterAppends(t *testing.T) {
 		t.Fatal(rej)
 	}
 
-	snapA, err := s.journalChunk(1, 0, []byte("chunk a0")) // barriers
+	snapA1, err := s.journalChunk(a, 0, []byte("chunk a0")) // barriers
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snapA == nil {
-		t.Fatal("expected a snapshot from the barrier-triggering append")
+	if len(snapA1) != 1 || snapA1[0].sess != a || snapA1[0].chunks != 1 {
+		t.Fatalf("barrier after a0 snapshotted %+v, want session 1 at 1 chunk", snapA1)
 	}
-	// Session 2 appends AFTER the barrier, before the sweep runs.
-	snapB, err := s.journalChunk(2, 0, []byte("chunk b0"))
+	// Session 2 appends AFTER the barrier, before the promotion runs.
+	snapB, err := s.journalChunk(b, 0, []byte("chunk b0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.promoteDurable(snapA)
+	promoteDurable(snapA1)
 	if got := b.durable.Load(); got != 0 {
-		t.Fatalf("sweep marked %d un-fsynced chunk(s) of session 2 durable", got)
+		t.Fatalf("promotion marked %d un-fsynced chunk(s) of session 2 durable", got)
 	}
 	if got := a.durable.Load(); got != 1 {
 		t.Fatalf("session 1 durable = %d, want 1", got)
 	}
-	// The newer snapshot promotes B; re-applying the stale one must
-	// not rewind anything (sweeps run unordered outside jmu).
-	s.promoteDurable(snapB)
+	// Session 2's own barrier promotes it.
+	promoteDurable(snapB)
 	if got := b.durable.Load(); got != 1 {
 		t.Fatalf("session 2 durable = %d after its own barrier, want 1", got)
 	}
-	s.promoteDurable(snapA)
-	if got := b.durable.Load(); got != 1 {
-		t.Fatalf("stale snapshot rewound session 2 durable to %d", got)
+	// A newer barrier advances session 1; re-applying its stale
+	// snapshot must not rewind it (promotions run unordered outside
+	// jmu).
+	snapA2, err := s.journalChunk(a, 1, []byte("chunk a1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	promoteDurable(snapA2)
+	promoteDurable(snapA1)
+	if got := a.durable.Load(); got != 2 {
+		t.Fatalf("stale snapshot left session 1 durable at %d, want 2", got)
+	}
+}
+
+// TestBarrierPromotesOnlyCoveredSessions pins the cost of a barrier
+// to what it covered: over 2,000 sequential sessions, every barrier —
+// byte-threshold and commit alike — snapshots only the sessions
+// journaled to since the previous barrier, never every session the
+// server has served, and every committed session ends durable up to
+// its last chunk.
+func TestBarrierPromotesOnlyCoveredSessions(t *testing.T) {
+	sopts := fastServer(filepath.Join(t.TempDir(), "j.rrjl"))
+	sopts.FsyncEveryBytes = 2 << 10 // a threshold barrier every few chunks
+	s, err := NewServer(sopts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownQuiet(s)
+	unsynced := func() []*serverSession {
+		s.jmu.Lock()
+		defer s.jmu.Unlock()
+		return append([]*serverSession(nil), s.unsynced...)
+	}
+	chunk := testPayload(700, 1)
+	thresholdBarriers := 0
+	for i := 0; i < 2000; i++ {
+		id := uint64(i + 1)
+		sess, rej := s.adoptSession(helloMsg{Proto: ProtoVersion, Session: id, Tenant: "t"})
+		if sess == nil {
+			t.Fatalf("session %d: %s", id, rej)
+		}
+		n := uint64(1 + i%4)
+		for seq := uint64(0); seq < n; seq++ {
+			snap, err := s.journalChunk(sess, seq, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap == nil {
+				continue
+			}
+			thresholdBarriers++
+			if len(snap) != 1 || snap[0].sess != sess || snap[0].chunks != seq+1 {
+				t.Fatalf("session %d chunk %d: threshold barrier snapshotted %d session(s), want only session %d at %d chunks",
+					id, seq, len(snap), id, seq+1)
+			}
+			promoteDurable(snap)
+		}
+		// The commit barrier snapshots exactly this list.
+		if l := unsynced(); len(l) > 1 || (len(l) == 1 && l[0] != sess) {
+			t.Fatalf("session %d: commit barrier would snapshot %d session(s), want at most session %d", id, len(l), id)
+		}
+		// journalChunk leaves the reassembly state alone, so the commit
+		// declares nothing and classifies as identical.
+		ack, err := s.commitSession(sess, commitMsg{Session: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack.Status != StatusOK {
+			t.Fatalf("session %d: status %d (%s)", id, ack.Status, ack.Reason)
+		}
+		if l := unsynced(); len(l) != 0 {
+			t.Fatalf("session %d: %d session(s) still listed after the commit barrier", id, len(l))
+		}
+		if got := sess.durable.Load(); got != n {
+			t.Fatalf("session %d durable = %d after commit, want %d", id, got, n)
+		}
+	}
+	if thresholdBarriers == 0 {
+		t.Fatal("no append crossed FsyncEveryBytes; the test covers only commit barriers")
+	}
+}
+
+// TestFailedAdoptResetsSessionGauge: a hello whose session record
+// cannot be journaled must leave the rrnet.server.sessions gauge equal
+// to the session table, not one above it.
+func TestFailedAdoptResetsSessionGauge(t *testing.T) {
+	reg := telemetry.NewRegistry(1)
+	s, err := NewServer(fastServer(filepath.Join(t.TempDir(), "j.rrjl")), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownQuiet(s)
+	if sess, rej := s.adoptSession(helloMsg{Proto: ProtoVersion, Session: 1, Tenant: "t"}); sess == nil {
+		t.Fatal(rej)
+	}
+	closeFile(s.jr.f) // every later journal write fails
+	if sess, _ := s.adoptSession(helloMsg{Proto: ProtoVersion, Session: 2, Tenant: "t"}); sess != nil {
+		t.Fatal("adopt succeeded with the journal file closed")
+	}
+	s.mu.Lock()
+	n := len(s.sessions)
+	s.mu.Unlock()
+	if got := reg.Gauge("rrnet.server.sessions").Value(); n != 1 || got != uint64(n) {
+		t.Fatalf("sessions gauge = %d, table holds %d; want both 1", got, n)
 	}
 }
 

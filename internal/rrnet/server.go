@@ -18,18 +18,18 @@ import (
 // re-delivered chunks, and classifies each session at commit.
 //
 // Lock order: sess.mu may be held while taking s.mu or jmu, never the
-// reverse. Code holding s.mu touches sessions only through their
-// atomic fields.
+// reverse; s.mu and jmu are never held together. Code holding s.mu
+// touches sessions only through their atomic fields, and code holding
+// jmu only through their atomics and jmu-guarded fields.
 type Server struct {
 	opts ServerOptions
 	jr   *Journal
 	jmu  sync.Mutex // serializes journal appends
 
-	// jWatermark tracks, per session, how many chunks have been
-	// written to the journal file — maintained under jmu, in write
-	// order, so a snapshot taken under the same jmu hold as an fsync
-	// barrier describes exactly the chunks that fsync covered.
-	jWatermark map[uint64]uint64
+	// unsynced lists, once each, the sessions journaled to since the
+	// last fsync barrier, in first-append order. Under jmu: a barrier
+	// snapshots it and empties it in the same jmu hold as its fsync.
+	unsynced []*serverSession
 
 	mu       sync.Mutex
 	sessions map[uint64]*serverSession
@@ -47,11 +47,17 @@ type Server struct {
 }
 
 // serverSession is the per-session reassembly state. durable is an
-// atomic so the post-fsync promotion sweep can run without taking
-// every session's lock; everything else is under mu.
+// atomic so the post-fsync promotion can run without taking the
+// session's lock; journaled and listed are under the server's jmu;
+// everything else is under mu.
 type serverSession struct {
 	id      uint64
 	durable atomic.Uint64 // chunks covered by an fsync'd segment
+
+	// journaled counts the session's chunks written to the journal
+	// file, in write order; listed marks it in Server.unsynced.
+	journaled uint64
+	listed    bool
 
 	mu      sync.Mutex
 	tenant  string            // immutable once the session is published
@@ -78,11 +84,10 @@ func NewServer(opts ServerOptions, reg *telemetry.Registry) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		opts:       opts,
-		jr:         jr,
-		jWatermark: make(map[uint64]uint64),
-		sessions:   make(map[uint64]*serverSession),
-		conns:      make(map[net.Conn]struct{}),
+		opts:     opts,
+		jr:       jr,
+		sessions: make(map[uint64]*serverSession),
+		conns:    make(map[net.Conn]struct{}),
 
 		mChunks:    reg.Counter("rrnet.server.chunks"),
 		mBytes:     reg.Counter("rrnet.server.bytes"),
@@ -109,17 +114,24 @@ func (s *Server) recover() error {
 	if err != nil {
 		return err
 	}
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
 	for _, id := range v.Order {
 		js := v.Sessions[id]
 		ss := &serverSession{
 			id: id, tenant: js.Tenant,
-			contig:  js.Chunks,
-			bytes:   uint64(len(js.Data)),
-			crc:     crc32.Checksum(js.Data, frame.Castagnoli),
-			pending: make(map[uint64][]byte),
+			contig:    js.Chunks,
+			bytes:     uint64(len(js.Data)),
+			crc:       crc32.Checksum(js.Data, frame.Castagnoli),
+			pending:   make(map[uint64][]byte),
+			journaled: js.Chunks,
 		}
 		ss.durable.Store(js.Durable)
-		s.jWatermark[id] = js.Chunks
+		if js.Durable < js.Chunks {
+			// Chunks written after the last segment record: the next
+			// barrier's fsync covers them.
+			s.listLocked(ss)
+		}
 		if js.Committed {
 			ss.committed = true
 			ss.verdict = commitAckMsg{Session: id, Status: js.Status, Missing: js.Missing, Reason: js.Reason}
@@ -351,15 +363,16 @@ func (s *Server) adoptSession(m helloMsg) (*serverSession, string) {
 	s.gSessions.Set(0, uint64(len(s.sessions)))
 	s.mu.Unlock()
 
-	snap, err := s.journalSession(m.Session, m.Tenant)
+	snap, err := s.journalSession(sess)
 	if err != nil {
 		s.mu.Lock()
 		delete(s.sessions, m.Session)
 		s.active--
+		s.gSessions.Set(0, uint64(len(s.sessions)))
 		s.mu.Unlock()
 		return nil, "journal write failed"
 	}
-	s.promoteDurable(snap)
+	promoteDurable(snap)
 	return sess, ""
 }
 
@@ -410,7 +423,7 @@ func (s *Server) applyChunk(sess *serverSession, seq uint64, data []byte) (conti
 // extend appends one in-order chunk: journal first, then account.
 // Caller holds sess.mu.
 func (s *Server) extend(sess *serverSession, data []byte) error {
-	snap, err := s.journalChunk(sess.id, sess.contig, data)
+	snap, err := s.journalChunk(sess, sess.contig, data)
 	if err != nil {
 		return err
 	}
@@ -422,67 +435,85 @@ func (s *Server) extend(sess *serverSession, data []byte) error {
 	sess.contig++
 	s.mChunks.Inc(0)
 	s.mBytes.Add(0, uint64(len(data)))
-	s.promoteDurable(snap)
+	promoteDurable(snap)
 	return nil
 }
 
 // flushIdle barriers the journal if it holds unsynced bytes and
-// promotes every session's durable point. Called from the heartbeat
-// path: it is the idle half of group commit (the busy half is the
-// FsyncEveryBytes threshold inside extend).
+// promotes the sessions that barrier covered. Called from the
+// heartbeat path: it is the idle half of group commit (the busy half
+// is the FsyncEveryBytes threshold inside extend).
 func (s *Server) flushIdle() error {
 	s.jmu.Lock()
-	var snap map[uint64]uint64
+	var snap []promotion
 	var err error
 	if s.jr.sinceSync > 0 {
 		//rrlint:allow blockinglock -- jmu exists to serialize the journal; the idle-flush fsync must run under it
 		if err = s.jr.barrier(); err == nil {
-			snap = s.watermarksLocked()
+			snap = s.snapshotLocked()
 		}
 	}
 	s.jmu.Unlock()
 	if err != nil {
 		return err
 	}
-	s.promoteDurable(snap)
+	promoteDurable(snap)
 	return nil
 }
 
-// watermarksLocked snapshots every session's journaled chunk count.
-// Caller holds jmu, and must have held it continuously since the
-// fsync barrier the snapshot describes.
-func (s *Server) watermarksLocked() map[uint64]uint64 {
-	snap := make(map[uint64]uint64, len(s.jWatermark))
-	for id, n := range s.jWatermark {
-		snap[id] = n
+// promotion is one session's journaled chunk count as of a barrier.
+type promotion struct {
+	sess   *serverSession
+	chunks uint64
+}
+
+// listLocked records that sess was journaled to since the last
+// barrier. Caller holds jmu.
+func (s *Server) listLocked(sess *serverSession) {
+	if !sess.listed {
+		sess.listed = true
+		s.unsynced = append(s.unsynced, sess)
 	}
+}
+
+// snapshotLocked takes the journaled chunk count of every session
+// journaled to since the previous barrier, and empties the list. A
+// session it leaves out has had nothing journaled since an earlier
+// barrier, whose own snapshot promoted it. Caller holds jmu, and must
+// have held it continuously since the fsync barrier the snapshot
+// describes.
+func (s *Server) snapshotLocked() []promotion {
+	if len(s.unsynced) == 0 {
+		return nil
+	}
+	snap := make([]promotion, len(s.unsynced))
+	for i, sess := range s.unsynced {
+		snap[i] = promotion{sess, sess.journaled}
+		sess.listed = false
+	}
+	clear(s.unsynced)
+	s.unsynced = s.unsynced[:0]
 	return snap
 }
 
 // promoteDurable marks each snapshotted session's fsync-covered chunk
-// prefix durable. snap must be a watermarksLocked snapshot taken under
+// prefix durable. snap must be a snapshotLocked snapshot taken under
 // the same jmu hold as the barrier: promoting from live counters after
 // releasing jmu would let a chunk journaled between the fsync and the
-// sweep be acked durable un-fsynced — the client frees its copy, and a
-// crash before the next fsync loses the chunk permanently. Touches
-// only the durable atomics, so holding a sess.mu while calling is
-// fine. A nil snap (no barrier fired) is a no-op.
-func (s *Server) promoteDurable(snap map[uint64]uint64) {
-	if len(snap) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, n := range snap {
-		if sess := s.sessions[id]; sess != nil {
-			storeMax(&sess.durable, n)
-		}
+// promotion be acked durable un-fsynced — the client frees its copy,
+// and a crash before the next fsync loses the chunk permanently.
+// Touches only the durable atomics, so it takes no lock and holding a
+// sess.mu while calling is fine. A nil snap (no barrier fired, or one
+// that covered nothing new) is a no-op.
+func promoteDurable(snap []promotion) {
+	for _, p := range snap {
+		storeMax(&p.sess.durable, p.chunks)
 	}
 }
 
-// storeMax advances a monotonically: promotion sweeps run outside
-// jmu, so an older barrier's snapshot can be applied after a newer
-// one's and must not rewind it.
+// storeMax advances a monotonically: promotions run outside jmu, so
+// an older barrier's snapshot can be applied after a newer one's and
+// must not rewind it.
 func storeMax(a *atomic.Uint64, v uint64) {
 	for {
 		cur := a.Load()
@@ -533,9 +564,9 @@ func (s *Server) commitSession(sess *serverSession, m commitMsg) (commitAckMsg, 
 	s.jmu.Lock()
 	//rrlint:allow blockinglock -- the COMMIT record must be durable before the ack leaves; fsync under jmu is the contract
 	err := s.jr.Commit(sess.id, ack.Status, m.Chunks, m.LogLen, m.LogCRC, m.NDrop, ack.Missing, ack.Reason)
-	var snap map[uint64]uint64
+	var snap []promotion
 	if err == nil {
-		snap = s.watermarksLocked() // Commit always barriers
+		snap = s.snapshotLocked() // Commit always barriers
 	}
 	s.jmu.Unlock()
 	if err != nil {
@@ -544,7 +575,7 @@ func (s *Server) commitSession(sess *serverSession, m commitMsg) (commitAckMsg, 
 	sess.committed = true
 	sess.verdict = ack
 	sess.pending = nil
-	s.promoteDurable(snap)
+	promoteDurable(snap)
 	s.mu.Lock()
 	s.active--
 	s.mu.Unlock()
@@ -553,39 +584,34 @@ func (s *Server) commitSession(sess *serverSession, m commitMsg) (commitAckMsg, 
 }
 
 // journalSession and journalChunk append one record each. When the
-// append crossed the fsync threshold they return the watermark
-// snapshot to promote (captured before jmu is released, so it covers
+// append crossed the fsync threshold they return the promotions that
+// barrier covered (captured before jmu is released, so they cover
 // exactly what the fsync wrote); nil otherwise.
-func (s *Server) journalSession(id uint64, tenant string) (map[uint64]uint64, error) {
+func (s *Server) journalSession(sess *serverSession) ([]promotion, error) {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
 	//rrlint:allow blockinglock -- journal append may group-commit fsync; jmu serializes the journal by design
-	synced, err := s.jr.Session(id, tenant)
-	if err != nil {
+	synced, err := s.jr.Session(sess.id, sess.tenant)
+	if err != nil || !synced {
 		return nil, err
 	}
-	if _, ok := s.jWatermark[id]; !ok {
-		s.jWatermark[id] = 0
-	}
-	if !synced {
-		return nil, nil
-	}
-	return s.watermarksLocked(), nil
+	return s.snapshotLocked(), nil
 }
 
-func (s *Server) journalChunk(id, seq uint64, data []byte) (map[uint64]uint64, error) {
+func (s *Server) journalChunk(sess *serverSession, seq uint64, data []byte) ([]promotion, error) {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
 	//rrlint:allow blockinglock -- journal append may group-commit fsync; jmu serializes the journal by design
-	synced, err := s.jr.Chunk(id, seq, data)
+	synced, err := s.jr.Chunk(sess.id, seq, data)
 	if err != nil {
 		return nil, err
 	}
-	s.jWatermark[id] = seq + 1
+	sess.journaled = seq + 1
+	s.listLocked(sess)
 	if !synced {
 		return nil, nil
 	}
-	return s.watermarksLocked(), nil
+	return s.snapshotLocked(), nil
 }
 
 // writeMsg writes one frame under the write deadline; false marks the
