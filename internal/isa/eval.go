@@ -5,6 +5,10 @@ import "fmt"
 // EvalALU computes the result of a register-writing non-memory
 // instruction given its source operand values. For immediate forms s2
 // is ignored and the immediate is taken from the instruction.
+//
+// EvalALU, BranchTaken and AmoApply define the instruction semantics of
+// the out-of-order core. Thread.StepN evaluates the same operations
+// inline; TestStepNMatchesReference and FuzzStepN hold it to these.
 func EvalALU(ins *Instr, s1, s2 uint64) uint64 {
 	switch ins.Op {
 	case ADD:

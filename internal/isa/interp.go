@@ -38,6 +38,12 @@ var ErrOutOfInput = fmt.Errorf("isa: IN executed past end of input stream")
 // each recorded InorderBlock with one call, n being the block size
 // capped by its step budget, the software form of the paper's
 // instruction-count interrupt.
+//
+// Every opcode is evaluated inside the one switch and writes its
+// register directly; R0 is cleared after each instruction instead of
+// guarding each write. The semantics are those of EvalALU, BranchTaken
+// and AmoApply, which the out-of-order core uses; the differential
+// tests hold the two copies together.
 func (t *Thread) StepN(mem *FlatMemory, n uint64) (uint64, error) {
 	if t.Halted {
 		return 0, nil
@@ -54,47 +60,113 @@ loop:
 			break
 		}
 		ins := &code[pc]
-		next := pc + 1
+		pc++
 		switch ins.Op {
+		case ADD:
+			regs[ins.Rd] = regs[ins.Rs1] + regs[ins.Rs2]
+		case SUB:
+			regs[ins.Rd] = regs[ins.Rs1] - regs[ins.Rs2]
+		case MUL:
+			regs[ins.Rd] = regs[ins.Rs1] * regs[ins.Rs2]
+		case AND:
+			regs[ins.Rd] = regs[ins.Rs1] & regs[ins.Rs2]
+		case OR:
+			regs[ins.Rd] = regs[ins.Rs1] | regs[ins.Rs2]
+		case XOR:
+			regs[ins.Rd] = regs[ins.Rs1] ^ regs[ins.Rs2]
+		case SLL:
+			regs[ins.Rd] = regs[ins.Rs1] << (regs[ins.Rs2] & 63)
+		case SRL:
+			regs[ins.Rd] = regs[ins.Rs1] >> (regs[ins.Rs2] & 63)
+		case SLT:
+			regs[ins.Rd] = b2u(int64(regs[ins.Rs1]) < int64(regs[ins.Rs2]))
+		case SLTU:
+			regs[ins.Rd] = b2u(regs[ins.Rs1] < regs[ins.Rs2])
+		case ADDI:
+			regs[ins.Rd] = regs[ins.Rs1] + uint64(ins.Imm)
+		case ANDI:
+			regs[ins.Rd] = regs[ins.Rs1] & uint64(ins.Imm)
+		case ORI:
+			regs[ins.Rd] = regs[ins.Rs1] | uint64(ins.Imm)
+		case XORI:
+			regs[ins.Rd] = regs[ins.Rs1] ^ uint64(ins.Imm)
+		case SLLI:
+			regs[ins.Rd] = regs[ins.Rs1] << (uint64(ins.Imm) & 63)
+		case SRLI:
+			regs[ins.Rd] = regs[ins.Rs1] >> (uint64(ins.Imm) & 63)
+		case SLTI:
+			regs[ins.Rd] = b2u(int64(regs[ins.Rs1]) < ins.Imm)
+		case LI:
+			regs[ins.Rd] = uint64(ins.Imm)
+		case LD:
+			regs[ins.Rd] = mem.Load(regs[ins.Rs1] + uint64(ins.Imm))
+		case ST:
+			mem.Store(regs[ins.Rs1]+uint64(ins.Imm), regs[ins.Rs2])
+		case AMOADD:
+			addr := regs[ins.Rs1] + uint64(ins.Imm)
+			old := mem.Load(addr)
+			mem.Store(addr, old+regs[ins.Rs2])
+			regs[ins.Rd] = old
+		case AMOSWAP:
+			addr := regs[ins.Rs1] + uint64(ins.Imm)
+			old := mem.Load(addr)
+			mem.Store(addr, regs[ins.Rs2])
+			regs[ins.Rd] = old
+		case CAS:
+			addr := regs[ins.Rs1] + uint64(ins.Imm)
+			old := mem.Load(addr)
+			if old == regs[ins.Rd] {
+				mem.Store(addr, regs[ins.Rs2])
+			}
+			regs[ins.Rd] = old
 		case NOP, FENCE:
 			// No architectural effect in the in-order model.
-		case HALT:
-			t.Halted = true
-			pc = next
-			done++
-			break loop
+		case BEQ:
+			if regs[ins.Rs1] == regs[ins.Rs2] {
+				pc = int(ins.Imm)
+			}
+		case BNE:
+			if regs[ins.Rs1] != regs[ins.Rs2] {
+				pc = int(ins.Imm)
+			}
+		case BLT:
+			if int64(regs[ins.Rs1]) < int64(regs[ins.Rs2]) {
+				pc = int(ins.Imm)
+			}
+		case BGE:
+			if int64(regs[ins.Rs1]) >= int64(regs[ins.Rs2]) {
+				pc = int(ins.Imm)
+			}
+		case JMP:
+			pc = int(ins.Imm)
 		case IN:
 			if t.InPos >= len(t.Inputs) {
+				pc--
 				err = ErrOutOfInput
 				break loop
 			}
-			t.SetReg(ins.Rd, t.Inputs[t.InPos])
+			regs[ins.Rd] = t.Inputs[t.InPos]
 			t.InPos++
-		case JMP:
-			next = int(ins.Imm)
-		case BEQ, BNE, BLT, BGE:
-			if BranchTaken(ins, regs[ins.Rs1], regs[ins.Rs2]) {
-				next = int(ins.Imm)
-			}
-		case LD:
-			t.SetReg(ins.Rd, mem.Load(EffAddr(*ins, regs[ins.Rs1])))
-		case ST:
-			mem.Store(EffAddr(*ins, regs[ins.Rs1]), regs[ins.Rs2])
-		case AMOADD, AMOSWAP, CAS:
-			addr := EffAddr(*ins, regs[ins.Rs1])
-			old := mem.Load(addr)
-			if v, write := AmoApply(*ins, old, regs[ins.Rs2], regs[ins.Rd]); write {
-				mem.Store(addr, v)
-			}
-			t.SetReg(ins.Rd, old)
+		case HALT:
+			t.Halted = true
+			done++
+			break loop
 		default:
-			t.SetReg(ins.Rd, EvalALU(ins, regs[ins.Rs1], regs[ins.Rs2]))
+			panic(fmt.Sprintf("isa: StepN on unknown instruction %v", *ins))
 		}
-		pc = next
+		regs[0] = 0
 	}
 	t.PC = pc
 	t.Instret += done
 	return done, err
+}
+
+// b2u converts a comparison result to the 0/1 a set-less-than writes.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Step executes one instruction against mem. It returns an error on a
@@ -125,18 +197,32 @@ const (
 	pageWords = 1 << (pageShift - 3)
 )
 
+// cacheSlots is the size of FlatMemory's direct-mapped page cache: 256
+// slots of 16 bytes, a fixed 4 KiB whatever the address stream.
+const cacheSlots = 256
+
 type page [pageWords]uint64
 
+// cacheSlot holds page p under its tag: the page's first byte address
+// with the in-page offset bits set. Every address on the page ORs to
+// the same tag, and no address ORs to the empty slot's zero.
+type cacheSlot struct {
+	tag uint64
+	p   *page
+}
+
+const offsetMask = 1<<pageShift - 1
+
 // FlatMemory is a word-granular memory of 512-byte pages, allocated on
-// first store and found through a map keyed by page number, with the
-// last page touched cached in front of the map. Loads of never-written
+// first store and found through a map keyed by page number. A
+// direct-mapped cache of cacheSlots pages, indexed by the low bits of
+// the page number, sits in front of the map. Loads of never-written
 // words read zero and allocate nothing, so a stream of N hostile
 // addresses costs at most N pages. The zero value is ready to use. It
 // is the reference memory for tests and the replayer.
 type FlatMemory struct {
-	pages   map[uint64]*page
-	last    *page // page lastNum, or nil
-	lastNum uint64
+	pages map[uint64]*page
+	cache [cacheSlots]cacheSlot
 }
 
 // NewFlatMemory returns an empty FlatMemory.
@@ -144,37 +230,43 @@ func NewFlatMemory() *FlatMemory { return &FlatMemory{} }
 
 // Load returns the word at addr (zero if never written).
 func (m *FlatMemory) Load(addr uint64) uint64 {
-	if m.last != nil && addr>>pageShift == m.lastNum {
-		return m.last[addr/WordSize%pageWords]
+	if s := &m.cache[uint8(addr>>pageShift)]; s.tag == addr|offsetMask {
+		return s.p[addr/WordSize%pageWords]
 	}
+	return m.loadMiss(addr)
+}
+
+// loadMiss is Load past a cache miss: it caches the page if it exists.
+func (m *FlatMemory) loadMiss(addr uint64) uint64 {
 	p := m.pages[addr>>pageShift]
 	if p == nil {
 		return 0
 	}
-	m.last, m.lastNum = p, addr>>pageShift
+	m.cache[uint8(addr>>pageShift)] = cacheSlot{addr | offsetMask, p}
 	return p[addr/WordSize%pageWords]
 }
 
 // Store writes the word at addr.
 func (m *FlatMemory) Store(addr uint64, val uint64) {
-	if m.last == nil || addr>>pageShift != m.lastNum {
-		m.fetch(addr >> pageShift)
+	s := &m.cache[uint8(addr>>pageShift)]
+	if s.tag != addr|offsetMask {
+		m.fetch(s, addr)
 	}
-	m.last[addr/WordSize%pageWords] = val
+	s.p[addr/WordSize%pageWords] = val
 }
 
-// fetch makes page num the cached last page, allocating it on first
-// use.
-func (m *FlatMemory) fetch(num uint64) {
-	p := m.pages[num]
+// fetch fills cache slot s with the page holding addr, allocating the
+// page on first use.
+func (m *FlatMemory) fetch(s *cacheSlot, addr uint64) {
+	p := m.pages[addr>>pageShift]
 	if p == nil {
 		if m.pages == nil {
 			m.pages = make(map[uint64]*page)
 		}
 		p = new(page)
-		m.pages[num] = p
+		m.pages[addr>>pageShift] = p
 	}
-	m.last, m.lastNum = p, num
+	*s = cacheSlot{addr | offsetMask, p}
 }
 
 // Snapshot returns a copy of all non-zero words, keyed by aligned

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"relaxreplay/internal/faultinject"
@@ -444,7 +445,7 @@ func TestPatchPartial(t *testing.T) {
 		}}},
 	}
 	if _, err := l.Patch(); err == nil {
-		t.Fatal("index-based Patch should fail on a gapped log")
+		t.Fatal("strict Patch should fail: Seq 1's store targets the lost Seq 0")
 	}
 	p, dropped, err := l.PatchPartial()
 	if err != nil {
@@ -460,6 +461,45 @@ func TestPatchPartial(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A store whose target was lost in the middle of a stream has no
+// interval to go to. Strict Patch must say so, not fall back on the
+// interval at the same slice position, and PatchPartial must drop it.
+func TestPatchRejectsMidStreamGap(t *testing.T) {
+	l := &Log{
+		Cores: 1,
+		Streams: []CoreLog{{Core: 3, Intervals: []Interval{
+			{Seq: 0, CISN: 0, Timestamp: 10, Entries: []Entry{{Type: InorderBlock, Size: 1}}},
+			{Seq: 1, CISN: 1, Timestamp: 20, Entries: []Entry{{Type: InorderBlock, Size: 1}}},
+			// Seq 2 is missing; Seq 3's store performed there.
+			{Seq: 3, CISN: 3, Timestamp: 40, Entries: []Entry{
+				{Type: ReorderedStore, Addr: 0x30, Value: 7, Offset: 1},
+			}},
+		}}},
+	}
+	_, err := l.Patch()
+	if err == nil {
+		t.Fatal("strict Patch placed a store whose target interval is missing")
+	}
+	for _, want := range []string{"core 3", "interval 3", "interval 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	p, dropped, err := l.PatchPartial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped)
+	}
+	if n := p.CountEntries(PatchedStore); n != 0 {
+		t.Fatalf("PatchPartial placed %d stores, want none", n)
+	}
+	if got := p.Streams[0].Intervals[2].Entries[0]; got.Type != Dummy {
+		t.Fatalf("counting position = %+v, want Dummy", got)
 	}
 }
 

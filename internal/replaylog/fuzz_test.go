@@ -225,3 +225,116 @@ func FuzzDecodeProvenance(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPatch checks the one patching pass in both modes on small logs
+// built from the fuzz bytes: seq gaps and steps back, offsets that
+// reach past the stream start or into a gap, and every pre-patch entry
+// kind, failed CAS included. Invariants: neither mode modifies its
+// input; strict Patch fails exactly when PatchPartial drops a store;
+// when Patch succeeds the two results are equal; every moved store is
+// either placed or counted as dropped; and every result validates.
+func FuzzPatch(f *testing.F) {
+	f.Add([]byte{})
+	// A clean stream, Seq 0, 1, 2: a store two back and an atomic one
+	// back from Seq 2.
+	f.Add([]byte{0, 0, 3, 1, 4, 0, 1, 1, 2, 1, 0, 1, 2, 2, 2, 0x13, 1, 0, 0})
+	// The mid-stream gap: Seq 0, 1, 3, with a store one back from 3.
+	f.Add([]byte{0, 0, 3, 1, 4, 0, 1, 1, 4, 0xc0, 1, 1, 2, 1, 0, 0})
+	// Two cores. Core 0 steps back from Seq 2 to 1 and repeats 2; it
+	// holds a failed CAS reaching before the stream and an atomic with
+	// offset 0. Core 1's one store reaches before Seq 0.
+	f.Add([]byte{1, 2, 3, 1, 0x03, 4, 0xf0, 1, 1, 0x13, 0, 0, 1, 1, 0x02, 1, 0, 0, 0, 1, 1, 0x02, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l := fuzzPatchLog(data)
+		strict, err := l.Patch()
+		partial, dropped, perr := l.PatchPartial()
+		if !reflect.DeepEqual(l, fuzzPatchLog(data)) {
+			t.Fatal("patching modified its input")
+		}
+		if perr != nil {
+			t.Fatalf("PatchPartial: %v", perr)
+		}
+		if (err != nil) != (dropped > 0) {
+			t.Fatalf("Patch err = %v, but PatchPartial dropped %d", err, dropped)
+		}
+		if err == nil {
+			if !reflect.DeepEqual(strict, partial) {
+				t.Fatal("Patch and PatchPartial disagree on a log Patch accepts")
+			}
+			if err := strict.Validate(); err != nil {
+				t.Fatalf("Patch result: %v", err)
+			}
+		}
+		if err := partial.Validate(); err != nil {
+			t.Fatalf("PatchPartial result: %v", err)
+		}
+		moved := 0
+		for _, s := range l.Streams {
+			for _, iv := range s.Intervals {
+				for _, e := range iv.Entries {
+					if e.Type == ReorderedStore || e.Type == ReorderedAtomic && e.DidWrite {
+						moved++
+					}
+				}
+			}
+		}
+		if placed := partial.CountEntries(PatchedStore); placed+dropped != moved {
+			t.Fatalf("%d stores placed + %d dropped, want %d moved", placed, dropped, moved)
+		}
+		if partial.Instructions() != l.Instructions() {
+			t.Fatalf("patched log replays %d instructions, want %d", partial.Instructions(), l.Instructions())
+		}
+	})
+}
+
+// fuzzPatchLog builds an unpatched log from fuzz bytes (zeros once they
+// run out). Timestamps rise and CISNs match their Seq, so the input
+// validates whatever its seq gaps and offsets.
+func fuzzPatchLog(data []byte) *Log {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	l := &Log{Cores: 1 + int(next()%3)}
+	for c := 0; c < l.Cores; c++ {
+		s := CoreLog{Core: c}
+		seq, ts := uint64(next()%3), uint64(1)
+		for n := next() % 6; n > 0; n-- {
+			iv := Interval{Seq: seq, CISN: uint16(seq), Timestamp: ts}
+			for k := next() % 4; k > 0; k-- {
+				b := next()
+				e := Entry{Type: []EntryType{InorderBlock, ReorderedLoad, ReorderedStore, ReorderedAtomic}[b%4]}
+				switch e.Type {
+				case InorderBlock:
+					e.Size = 1 + uint32(b>>2)
+				case ReorderedLoad:
+					e.Value = uint64(b)
+				case ReorderedStore, ReorderedAtomic:
+					e.Addr, e.Value, e.StoreValue = uint64(b)*8, uint64(b), uint64(b)+1
+					e.DidWrite = b&0x10 != 0
+					e.Offset = uint16(next() % 5)
+				}
+				iv.Entries = append(iv.Entries, e)
+			}
+			if seq%4 == 1 {
+				iv.Preds = []Pred{{Core: c, Seq: seq}}
+			}
+			s.Intervals = append(s.Intervals, iv)
+			switch step := next(); {
+			case step >= 0xf0 && seq > 0:
+				seq-- // a step back, which only a hand-built log has
+			case step >= 0xc0:
+				seq += 2 + uint64(step%2) // a gap of one or two
+			default:
+				seq++
+			}
+			ts += uint64(next() % 3)
+		}
+		l.Streams = append(l.Streams, s)
+	}
+	return l
+}

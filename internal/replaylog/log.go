@@ -218,67 +218,34 @@ func (l *Log) Instructions() uint64 {
 // ReorderedLoad carrying the atomic's loaded value) at the counting
 // position. The result is a new Log ready for replay; the input is not
 // modified.
+//
+// Targets are found by sequence number. A store whose target interval
+// is not in the log fails the pass with an error naming the core, the
+// counting interval and the missing sequence number.
 func (l *Log) Patch() (*Log, error) {
-	if l.Patched {
-		return nil, fmt.Errorf("replaylog: log already patched")
-	}
-	out := &Log{
-		Cores:      l.Cores,
-		Variant:    l.Variant,
-		Patched:    true,
-		Streams:    make([]CoreLog, len(l.Streams)),
-		Inputs:     l.Inputs,
-		Provenance: l.Provenance,
-	}
-	for ci, s := range l.Streams {
-		ns := CoreLog{Core: s.Core, Intervals: make([]Interval, len(s.Intervals))}
-		for i, iv := range s.Intervals {
-			ns.Intervals[i] = Interval{Seq: iv.Seq, CISN: iv.CISN, Timestamp: iv.Timestamp}
-			ns.Intervals[i].Entries = append([]Entry(nil), iv.Entries...)
-			ns.Intervals[i].Preds = iv.Preds
-		}
-		for i := range ns.Intervals {
-			iv := &ns.Intervals[i]
-			for j, e := range iv.Entries {
-				switch e.Type {
-				case ReorderedStore, ReorderedAtomic:
-					target := i - int(e.Offset)
-					if target < 0 {
-						return nil, fmt.Errorf("replaylog: core %d interval %d: offset %d reaches before the log", s.Core, i, e.Offset)
-					}
-					if e.Type == ReorderedStore {
-						iv.Entries[j] = Entry{Type: Dummy}
-					} else {
-						iv.Entries[j] = Entry{Type: ReorderedLoad, Value: e.Value}
-						if !e.DidWrite {
-							// Failed CAS: nothing to patch; the value
-							// injection above replays it completely.
-							continue
-						}
-					}
-					ns.Intervals[target].Entries = append(ns.Intervals[target].Entries,
-						Entry{Type: PatchedStore, Addr: e.Addr, Value: valueForPatch(e), Offset: e.Offset})
-				}
-			}
-		}
-		out.Streams[ci] = ns
-	}
-	return out, nil
+	out, _, err := l.patch(true)
+	return out, err
 }
 
 // PatchPartial is Patch for logs that lost intervals (a robust decode
-// of a damaged stream): store movement targets intervals by sequence
-// number rather than slice index, so a gap in the middle of a stream
-// does not shift every later offset onto the wrong interval. A store
-// whose target interval was lost cannot be placed anywhere; it is
-// dropped (its counting-position placeholder is still written) and
-// counted in the returned total. PatchPartial never fails on gaps —
-// only on a log that is already patched.
+// of a damaged stream). A store whose target interval was lost cannot
+// be placed anywhere; it is dropped (its counting-position placeholder
+// is still written) and counted in the returned total. PatchPartial
+// never fails on gaps — only on a log that is already patched. On a
+// log Patch accepts, the two return equal logs.
 func (l *Log) PatchPartial() (*Log, int, error) {
+	return l.patch(false)
+}
+
+// patch is the one patching pass behind Patch and PatchPartial; strict
+// turns every dropped store into an error. Each stream is walked three
+// times: to count the stores each interval receives, to copy the
+// entries into one backing array with room for them, and to rewrite
+// the counting positions and place the stores.
+func (l *Log) patch(strict bool) (*Log, int, error) {
 	if l.Patched {
 		return nil, 0, fmt.Errorf("replaylog: log already patched")
 	}
-	dropped := 0
 	out := &Log{
 		Cores:      l.Cores,
 		Variant:    l.Variant,
@@ -287,48 +254,119 @@ func (l *Log) PatchPartial() (*Log, int, error) {
 		Inputs:     l.Inputs,
 		Provenance: l.Provenance,
 	}
-	for ci, s := range l.Streams {
-		ns := CoreLog{Core: s.Core, Intervals: make([]Interval, len(s.Intervals))}
-		bySeq := make(map[uint64]int, len(s.Intervals))
-		for i, iv := range s.Intervals {
-			ns.Intervals[i] = Interval{Seq: iv.Seq, CISN: iv.CISN, Timestamp: iv.Timestamp}
-			ns.Intervals[i].Entries = append([]Entry(nil), iv.Entries...)
-			ns.Intervals[i].Preds = iv.Preds
-			bySeq[iv.Seq] = i
+	longest := 0
+	for _, s := range l.Streams {
+		longest = max(longest, len(s.Intervals))
+	}
+	incoming := make([]int, longest) // stores each interval receives
+	dropped := 0
+	for si, s := range l.Streams {
+		ivs := s.Intervals
+		idx := seqIndex{ivs: ivs}
+		in := incoming[:len(ivs)]
+		clear(in)
+		total := 0
+		for i := range ivs {
+			total += len(ivs[i].Entries)
+			for _, e := range ivs[i].Entries {
+				if !movesStore(e) {
+					continue
+				}
+				if t, ok := idx.target(i, e.Offset); ok {
+					in[t]++
+					total++
+					continue
+				}
+				if strict {
+					return nil, 0, missingTarget(s.Core, ivs[i].Seq, e.Offset)
+				}
+				dropped++
+			}
 		}
-		for i := range ns.Intervals {
-			iv := &ns.Intervals[i]
+		backing := make([]Entry, total)
+		nivs := make([]Interval, len(ivs))
+		off := 0
+		for i, iv := range ivs {
+			nivs[i] = Interval{Seq: iv.Seq, CISN: iv.CISN, Timestamp: iv.Timestamp, Preds: iv.Preds}
+			n := len(iv.Entries)
+			if n+in[i] == 0 {
+				continue // Entries stays nil
+			}
+			nivs[i].Entries = backing[off : off+n : off+n+in[i]]
+			copy(nivs[i].Entries, iv.Entries)
+			off += n + in[i]
+		}
+		for i, iv := range ivs {
 			for j, e := range iv.Entries {
 				switch e.Type {
-				case ReorderedStore, ReorderedAtomic:
-					if e.Type == ReorderedStore {
-						iv.Entries[j] = Entry{Type: Dummy}
-					} else {
-						iv.Entries[j] = Entry{Type: ReorderedLoad, Value: e.Value}
-						if !e.DidWrite {
-							continue
-						}
-					}
-					// Guard before subtracting: a wrapped iv.Seq-Offset
-					// key could alias a real (huge) sequence number and
-					// graft the store onto an unrelated interval.
-					if uint64(e.Offset) > iv.Seq {
-						dropped++ // offset reaches before the log start
-						continue
-					}
-					target, ok := bySeq[iv.Seq-uint64(e.Offset)]
-					if !ok {
-						dropped++ // target interval was lost with the corruption
-						continue
-					}
-					ns.Intervals[target].Entries = append(ns.Intervals[target].Entries,
+				case ReorderedStore:
+					nivs[i].Entries[j] = Entry{Type: Dummy}
+				case ReorderedAtomic:
+					// The loaded value replays here. The write, if it
+					// took effect (a failed CAS wrote nothing), moves.
+					nivs[i].Entries[j] = Entry{Type: ReorderedLoad, Value: e.Value}
+				}
+				if !movesStore(e) {
+					continue
+				}
+				if t, ok := idx.target(i, e.Offset); ok {
+					// Within capacity: this writes into backing.
+					nivs[t].Entries = append(nivs[t].Entries,
 						Entry{Type: PatchedStore, Addr: e.Addr, Value: valueForPatch(e), Offset: e.Offset})
 				}
 			}
 		}
-		out.Streams[ci] = ns
+		out.Streams[si] = CoreLog{Core: s.Core, Intervals: nivs}
 	}
 	return out, dropped, nil
+}
+
+// movesStore reports whether patching moves a store out of entry e: a
+// ReorderedStore, or a ReorderedAtomic whose write took effect.
+func movesStore(e Entry) bool {
+	return e.Type == ReorderedStore || e.Type == ReorderedAtomic && e.DidWrite
+}
+
+// missingTarget is strict Patch's error for a store whose perform
+// interval is not in the log.
+func missingTarget(core int, seq uint64, off uint16) error {
+	if uint64(off) > seq {
+		return fmt.Errorf("replaylog: core %d interval %d: offset %d reaches before the log", core, seq, off)
+	}
+	return fmt.Errorf("replaylog: core %d interval %d: offset %d targets interval %d, which is missing", core, seq, off, seq-uint64(off))
+}
+
+// seqIndex finds a stream's intervals by sequence number. In a stream
+// without gaps the target is Offset positions back, so only a stream
+// with a gap, or one built out of order, pays for the map, on its first
+// miss.
+type seqIndex struct {
+	ivs   []Interval
+	bySeq map[uint64]int // the last interval with each Seq
+}
+
+// target returns the index of the interval where a store counted in
+// interval i with the given offset performed, or false if the log does
+// not have it.
+func (x *seqIndex) target(i int, off uint16) (int, bool) {
+	seq := x.ivs[i].Seq
+	// Guard before subtracting: a wrapped seq-off could alias a real
+	// (huge) sequence number and graft the store onto it.
+	if uint64(off) > seq {
+		return 0, false
+	}
+	want := seq - uint64(off)
+	if t := i - int(off); t >= 0 && x.ivs[t].Seq == want {
+		return t, true
+	}
+	if x.bySeq == nil {
+		x.bySeq = make(map[uint64]int, len(x.ivs))
+		for k := range x.ivs {
+			x.bySeq[x.ivs[k].Seq] = k
+		}
+	}
+	t, ok := x.bySeq[want]
+	return t, ok
 }
 
 func valueForPatch(e Entry) uint64 {
