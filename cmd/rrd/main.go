@@ -28,7 +28,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"strings"
 	"time"
 
 	"relaxreplay"
@@ -203,7 +202,6 @@ func stream(sw io.Writer, local *os.File, in, app string, cores, scale int, vari
 	}
 
 	cfg := relaxreplay.DefaultConfig()
-	cfg.Cores = cores
 	switch variant {
 	case "opt":
 		cfg.Variant = relaxreplay.Opt
@@ -213,21 +211,11 @@ func stream(sw io.Writer, local *os.File, in, app string, cores, scale int, vari
 		return fmt.Errorf("unknown variant %q", variant)
 	}
 
-	var wl relaxreplay.Workload
-	if name, ok := strings.CutPrefix(app, "litmus:"); ok {
-		l, err := relaxreplay.LitmusByName(name)
-		if err != nil {
-			return err
-		}
-		wl = l.Workload
-		cfg.Cores = len(wl.Progs)
-	} else {
-		var err error
-		wl, _, err = relaxreplay.BuildKernel(app, cfg.Cores, scale)
-		if err != nil {
-			return err
-		}
+	wl, _, err := relaxreplay.WorkloadByName(app, cores, scale)
+	if err != nil {
+		return err
 	}
+	cfg.Cores = len(wl.Progs)
 
 	rec, err := relaxreplay.Record(cfg, wl)
 	if err != nil {

@@ -1,17 +1,16 @@
 // rrlint statically proves the simulator's determinism, hot-path and
 // concurrency invariants: no wall clocks or global RNGs in the
 // simulation packages, no map-iteration-ordered output, no discarded
-// errors on the fault-injected log write path, no copied locks or
-// telemetry cells, no allocation in //rrlint:hotpath functions, a
-// closed fault-point vocabulary — and, through a cross-function
-// call-graph engine, no mutex-order cycles (lockorder), no blocking
-// I/O reachable under a lock (blockinglock), no unsupervised
-// goroutines (goroleak), and no field mixing sync/atomic with plain
-// access (atomicmix). It is stdlib-only (go/ast + go/types) and gates
-// CI next to go vet.
+// errors on the fault-injected log write path, no allocation in
+// //rrlint:hotpath functions, a closed fault-point vocabulary — and,
+// through a cross-function call-graph engine, no mutex-order cycles
+// (lockorder), no blocking I/O reachable under a lock (blockinglock),
+// no unsupervised goroutines (goroleak), and no field mixing
+// sync/atomic with plain access (atomicmix). It is stdlib-only
+// (go/ast + go/types) and gates CI next to go vet, which is the one
+// gate against copied locks and atomics (-copylocks).
 //
-//	rrlint [-check lockorder] [-checks detrand,maporder,...]
-//	       [-json] [-sarif] [-list] [packages]
+//	rrlint [-checks detrand,maporder,...] [-json] [-sarif] [-list] [packages]
 //
 // Packages default to ./... . Exit status: 0 clean, 1 findings,
 // 2 usage or load failure. -sarif emits a SARIF 2.1.0 log for GitHub
@@ -36,13 +35,12 @@ import (
 
 func main() {
 	checks := flag.String("checks", "", "comma-separated checks to run (default: all)")
-	check := flag.String("check", "", "filter to the named check(s); alias of -checks")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 (GitHub code scanning)")
 	list := flag.Bool("list", false, "list registered checks and exit")
 	typeErrs := flag.Bool("typecheck", false, "also report type-check errors (default: syntax-tolerant)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: rrlint [-check c] [-checks c1,c2] [-json] [-sarif] [-list] [packages]\n\nchecks:\n")
+		fmt.Fprintf(os.Stderr, "usage: rrlint [-checks c1,c2] [-json] [-sarif] [-list] [packages]\n\nchecks:\n")
 		for _, c := range lint.Checks() {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", c.Name, c.Doc)
 		}
@@ -80,10 +78,8 @@ func main() {
 	}
 
 	var names []string
-	for _, v := range []string{*checks, *check} {
-		if v != "" {
-			names = append(names, strings.Split(v, ",")...)
-		}
+	if *checks != "" {
+		names = strings.Split(*checks, ",")
 	}
 	diags, err := lint.Run(prog, names)
 	if err != nil {

@@ -52,7 +52,6 @@ func TestExitCodes(t *testing.T) {
 		{"detrand", "detrand"},
 		{"maporder", "maporder"},
 		{"errcheck-io", "errcheckio"},
-		{"lockcopy", "lockcopy"},
 		{"hotpath-alloc", "hotpath"},
 		{"faultpoint", "faultpoint"},
 		{"lockorder", "lockorder"},
@@ -111,25 +110,6 @@ func TestJSONOutput(t *testing.T) {
 		if f.Check != "hotpath-alloc" || f.File == "" || f.Line == 0 || f.Col == 0 || f.Message == "" {
 			t.Errorf("incomplete finding: %+v", f)
 		}
-	}
-}
-
-// TestCheckFlagAlias: -check is an alias of -checks and the two merge,
-// so `-check lockorder -checks goroleak` runs both.
-func TestCheckFlagAlias(t *testing.T) {
-	bin := buildRRLint(t)
-	dir := filepath.Join("..", "..", "internal", "lint", "testdata", "lockorder")
-	aliased, code := runRRLint(t, bin, dir, "-check", "lockorder", "./...")
-	if code != 1 {
-		t.Fatalf("-check exit code = %d, want 1", code)
-	}
-	canonical, _ := runRRLint(t, bin, dir, "-checks", "lockorder", "./...")
-	if aliased != canonical {
-		t.Errorf("-check and -checks diverge\n--- -check ---\n%s--- -checks ---\n%s", aliased, canonical)
-	}
-	merged, code := runRRLint(t, bin, dir, "-check", "lockorder", "-checks", "lockorder", "./...")
-	if code != 1 || merged != canonical {
-		t.Errorf("merged flags: exit=%d\n--- got ---\n%s--- want ---\n%s", code, merged, canonical)
 	}
 }
 

@@ -102,7 +102,7 @@ func main() {
 		return
 	}
 
-	log, rep, err := relaxreplay.ReadLogRobustParallel(inj.WrapReader(f, size))
+	log, rep, err := relaxreplay.ReadLogRobust(inj.WrapReader(f, size))
 	if err != nil {
 		// Nothing salvageable: the summary is the diagnosis.
 		if rep != nil {

@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"relaxreplay"
 	"relaxreplay/internal/telemetry"
@@ -72,12 +71,10 @@ func main() {
 
 	var log *relaxreplay.Log
 	var rep *relaxreplay.CorruptionReport
-	// The parallel readers decode v3 per-core streams concurrently and
-	// are identical to the sequential ones on v1/v2 logs.
 	if *partial {
-		log, rep, err = relaxreplay.ReadLogRobustParallel(rd)
+		log, rep, err = relaxreplay.ReadLogRobust(rd)
 	} else {
-		log, err = relaxreplay.ReadLogParallel(rd)
+		log, err = relaxreplay.ReadLog(rd)
 	}
 	if err != nil {
 		fatal(err)
@@ -86,19 +83,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rrreplay: log damaged, salvaged what survives:\n%s\n", rep.Summary())
 	}
 
-	var w relaxreplay.Workload
-	var check func(map[uint64]uint64) error
-	if name, ok := strings.CutPrefix(*app, "litmus:"); ok {
-		l, err := relaxreplay.LitmusByName(name)
-		if err != nil {
-			fatal(err)
-		}
-		w = l.Workload
-	} else {
-		w, check, err = relaxreplay.BuildKernel(*app, *cores, *scale)
-		if err != nil {
-			fatal(err)
-		}
+	w, check, err := relaxreplay.WorkloadByName(*app, *cores, *scale)
+	if err != nil {
+		fatal(err)
 	}
 	if log.Cores != len(w.Progs) {
 		fatal(fmt.Errorf("log has %d cores but workload has %d threads (check -cores/-scale)",

@@ -113,27 +113,16 @@ func main() {
 
 	var w relaxreplay.Workload
 	var check func(map[uint64]uint64) error
+	var err error
 	if *files != "" {
-		var err error
 		w, err = loadAsmWorkload(*files, cfg.Cores)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Cores = len(w.Progs)
-	} else if name, ok := strings.CutPrefix(*app, "litmus:"); ok {
-		l, err := relaxreplay.LitmusByName(name)
-		if err != nil {
-			fatal(err)
-		}
-		w = l.Workload
-		cfg.Cores = len(w.Progs)
 	} else {
-		var err error
-		w, check, err = relaxreplay.BuildKernel(*app, cfg.Cores, *scale)
-		if err != nil {
-			fatal(err)
-		}
+		w, check, err = relaxreplay.WorkloadByName(*app, cfg.Cores, *scale)
 	}
+	if err != nil {
+		fatal(err)
+	}
+	cfg.Cores = len(w.Progs)
 
 	tel, err := tf.New(cfg.Cores)
 	if err != nil {

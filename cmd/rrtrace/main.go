@@ -108,7 +108,7 @@ func loadLog(path string) *relaxreplay.Log {
 		fatal(err)
 	}
 	defer f.Close()
-	log, rep, err := relaxreplay.ReadLogRobustParallel(f)
+	log, rep, err := relaxreplay.ReadLogRobust(f)
 	if err != nil {
 		if rep != nil {
 			fmt.Fprintln(os.Stderr, "rrtrace: corruption summary:")
@@ -344,19 +344,9 @@ func writeChromeTrace(path string, log *relaxreplay.Log, app string, cores, scal
 	if app == "" {
 		return fmt.Errorf("-chrome needs -app (the recorded workload; logs do not embed programs)")
 	}
-	var w relaxreplay.Workload
-	if name, ok := strings.CutPrefix(app, "litmus:"); ok {
-		l, err := relaxreplay.LitmusByName(name)
-		if err != nil {
-			return err
-		}
-		w = l.Workload
-	} else {
-		var err error
-		w, _, err = relaxreplay.BuildKernel(app, cores, scale)
-		if err != nil {
-			return err
-		}
+	w, _, err := relaxreplay.WorkloadByName(app, cores, scale)
+	if err != nil {
+		return err
 	}
 	if log.Cores != len(w.Progs) {
 		return fmt.Errorf("log has %d cores but workload has %d threads (check -cores/-scale)",

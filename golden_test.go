@@ -132,7 +132,7 @@ func TestEncodeV3IndependentOfGOMAXPROCS(t *testing.T) {
 					inj = faultinject.New(21, faultinject.LogDupFrame)
 				}
 				var buf bytes.Buffer
-				if err := replaylog.EncodeV3With(&buf, rec.res.Log, replaylog.V3Options{}, inj); err != nil {
+				if err := replaylog.EncodeV3With(&buf, rec.res.Log, inj); err != nil {
 					t.Fatalf("%s at GOMAXPROCS=%d: encode: %v", c.name, procs, err)
 				}
 				if want == nil {
@@ -190,7 +190,7 @@ func TestGoldenSalvage(t *testing.T) {
 // salvageLine decodes damaged bytes robustly and renders the outcome
 // on one line.
 func salvageLine(data []byte) string {
-	l, rep, err := replaylog.DecodeRobust(bytes.NewReader(data))
+	l, rep, err := replaylog.DecodeParallel(bytes.NewReader(data))
 	if err != nil {
 		return "error: " + err.Error()
 	}

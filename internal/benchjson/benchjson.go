@@ -255,7 +255,7 @@ func Run() (*Report, error) {
 	}))
 
 	// v3 codec: compressed group frames + segment index (encode), and
-	// the per-core parallel decode path rrreplay uses.
+	// the per-core parallel decode every reader uses.
 	var v3Buf bytes.Buffer
 	if err := replaylog.EncodeV3(&v3Buf, synth); err != nil {
 		return nil, err
@@ -279,17 +279,6 @@ func Run() (*Report, error) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := replaylog.Decode(bytes.NewReader(data)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportIntervals(b, synthIvs)
-	}))
-
-	add("decode-v3-parallel-synthetic", testing.Benchmark(func(b *testing.B) {
-		data := v3Buf.Bytes()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := replaylog.DecodeParallel(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"relaxreplay/internal/faultinject"
 	"relaxreplay/internal/isa"
 	"relaxreplay/internal/machine"
+	"relaxreplay/internal/replay"
 	"relaxreplay/internal/replaylog"
 	"relaxreplay/internal/telemetry"
 )
@@ -35,6 +36,52 @@ type Result struct {
 	// architectural outcome, used to verify deterministic replay.
 	FinalMemory map[uint64]uint64
 	FinalRegs   [][isa.NumRegs]uint64
+}
+
+// CPI returns each core's recorded cycles per retired instruction, or
+// 1 for a core that retired nothing: the replay timing model's input.
+func (r *Result) CPI() []float64 {
+	cpi := make([]float64, len(r.CoreStats))
+	for c, st := range r.CoreStats {
+		cpi[c] = 1
+		if st.Retired > 0 {
+			cpi[c] = float64(st.Cycles) / float64(st.Retired)
+		}
+	}
+	return cpi
+}
+
+// Retired returns each core's retired instruction count.
+func (r *Result) Retired() []uint64 {
+	n := make([]uint64, len(r.CoreStats))
+	for c, st := range r.CoreStats {
+		n[c] = st.Retired
+	}
+	return n
+}
+
+// Replay is the replay side of RnR checked against the recording: it
+// patches the log, replays it under cfg with the recorded CPI, and
+// verifies every register, memory word and retired count. progs and
+// initMem must be the recorded workload's. A failed stage's error is
+// returned as that stage reported it.
+func (r *Result) Replay(cfg replay.Config, progs []isa.Program, initMem map[uint64]uint64) (*replay.Result, error) {
+	patched, err := r.Log.Patch()
+	if err != nil {
+		return nil, err
+	}
+	rp, err := replay.New(cfg, patched, progs, initMem, r.CPI())
+	if err != nil {
+		return nil, err
+	}
+	rep, err := rp.Run()
+	if err != nil {
+		return nil, err
+	}
+	if err := replay.Verify(rep, r.FinalMemory, r.FinalRegs, r.Retired()); err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
 // Session wires per-core Recorders into a machine: the full

@@ -13,34 +13,19 @@ import (
 	"relaxreplay/internal/workload"
 )
 
-// roundTrip records w, patches the log, replays it, and verifies the
-// replay reproduced the recorded execution exactly.
-func roundTrip(t *testing.T, mcfg machine.Config, rcfg Config, w Workload) (*Result, *replay.Result) {
+// roundTrip records w, then patches, replays and verifies the log
+// (Result.Replay): the replay must reproduce the recorded execution
+// exactly.
+func roundTrip(t *testing.T, mcfg machine.Config, rcfg Config, w Workload) *Result {
 	t.Helper()
 	res, err := Record(mcfg, rcfg, w)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
-	patched, err := res.Log.Patch()
-	if err != nil {
-		t.Fatalf("patch: %v", err)
-	}
-	rp, err := replay.New(replay.DefaultConfig(), patched, w.Progs, w.InitMem, nil)
-	if err != nil {
-		t.Fatalf("replayer: %v", err)
-	}
-	rep, err := rp.Run()
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	retired := make([]uint64, len(res.CoreStats))
-	for i, s := range res.CoreStats {
-		retired[i] = s.Retired
-	}
-	if err := replay.Verify(rep, res.FinalMemory, res.FinalRegs, retired); err != nil {
+	if _, err := res.Replay(replay.DefaultConfig(), w.Progs, w.InitMem); err != nil {
 		t.Fatal(err)
 	}
-	return res, rep
+	return res
 }
 
 // configs returns the recording configurations exercised by the
@@ -207,7 +192,7 @@ func TestRnRSpinlockAllConfigs(t *testing.T) {
 	for name, rcfg := range configs() {
 		for _, proto := range []coherence.Protocol{coherence.Snoopy, coherence.Directory} {
 			t.Run(fmt.Sprintf("%s/%s", name, proto), func(t *testing.T) {
-				res, _ := roundTrip(t, machineConfig(4, proto), rcfg, spinlockWorkload(4, 30))
+				res := roundTrip(t, machineConfig(4, proto), rcfg, spinlockWorkload(4, 30))
 				if got := res.FinalMemory[0x200]; got != 120 {
 					t.Fatalf("counter = %d, want 120", got)
 				}
@@ -219,7 +204,7 @@ func TestRnRSpinlockAllConfigs(t *testing.T) {
 func TestRnRMessagePassing(t *testing.T) {
 	for name, rcfg := range configs() {
 		t.Run(name, func(t *testing.T) {
-			res, _ := roundTrip(t, machineConfig(3, coherence.Snoopy), rcfg, messageWorkload())
+			res := roundTrip(t, machineConfig(3, coherence.Snoopy), rcfg, messageWorkload())
 			if got := res.FinalMemory[0x210]; got != 43 {
 				t.Fatalf("published value = %d, want 43", got)
 			}
@@ -258,7 +243,7 @@ func TestRnRWithInputs(t *testing.T) {
 		Progs:  []isa.Program{b.MustBuild()},
 		Inputs: [][]uint64{{100, 23}},
 	}
-	res, _ := roundTrip(t, machineConfig(1, coherence.Snoopy), DefaultConfig(Opt), w)
+	res := roundTrip(t, machineConfig(1, coherence.Snoopy), DefaultConfig(Opt), w)
 	if res.FinalMemory[0x300] != 123 {
 		t.Fatalf("memory = %v", res.FinalMemory)
 	}

@@ -231,13 +231,13 @@ func (s *Suite) chaosCell(app, point string, inj *faultinject.Injector) (cell Ch
 	// (shortread): the same hostile pipeline rrlog and replay face in
 	// the field.
 	var buf bytes.Buffer
-	if err := replaylog.EncodeV3With(&buf, res.Log, replaylog.V3Options{}, cinj); err != nil {
+	if err := replaylog.EncodeV3With(&buf, res.Log, cinj); err != nil {
 		cell.Outcome = OutcomeError
 		cell.Detail = chaosDetail("encode: " + err.Error())
 		return cell
 	}
 	data, _ := cinj.Corrupt(buf.Bytes())
-	l, rep, err := replaylog.DecodeRobust(cinj.WrapReader(bytes.NewReader(data), int64(len(data))))
+	l, rep, err := replaylog.DecodeParallel(cinj.WrapReader(bytes.NewReader(data), int64(len(data))))
 	if err != nil {
 		cell.Outcome = OutcomeRejected
 		cell.Detail = chaosDetail(err.Error())
@@ -276,11 +276,7 @@ func (s *Suite) chaosCell(app, point string, inj *faultinject.Injector) (cell Ch
 		return cell
 	}
 
-	retired := make([]uint64, len(res.CoreStats))
-	for c, st := range res.CoreStats {
-		retired[c] = st.Retired
-	}
-	verr := replay.Verify(rres, res.FinalMemory, res.FinalRegs, retired)
+	verr := replay.Verify(rres, res.FinalMemory, res.FinalRegs, res.Retired())
 	degraded := rres.Degraded() || !rep.Clean() || unplaced > 0
 	switch {
 	case degraded:
@@ -316,12 +312,12 @@ func (s *Suite) chaosBaselineCell(cell ChaosCell, base *Run) ChaosCell {
 		cell.Detail = chaosDetail(err.Error())
 		return cell
 	}
-	if err := replaylog.EncodeV3With(&with1, base.Res.Log, replaylog.V3Options{}, nil); err != nil {
+	if err := replaylog.EncodeV3With(&with1, base.Res.Log, nil); err != nil {
 		cell.Outcome = OutcomeError
 		cell.Detail = chaosDetail(err.Error())
 		return cell
 	}
-	if err := replaylog.EncodeV3With(&with2, base.Res.Log, replaylog.V3Options{}, nil); err != nil {
+	if err := replaylog.EncodeV3With(&with2, base.Res.Log, nil); err != nil {
 		cell.Outcome = OutcomeError
 		cell.Detail = chaosDetail(err.Error())
 		return cell

@@ -194,8 +194,9 @@ func (s *Suite) netChaosCellBody(cell NetChaosCell, pol rrnet.BackpressurePolicy
 		cell.Detail = chaosDetail(err.Error())
 		return cell
 	}
-	var addr atomic.Value
-	addr.Store(ln.Addr().String())
+	var addr atomic.Pointer[string]
+	first := ln.Addr().String()
+	addr.Store(&first)
 	var current atomic.Pointer[rrnet.Server]
 	current.Store(srv)
 	defer func() { shutdownQuiet(current.Load()) }()
@@ -210,7 +211,8 @@ func (s *Suite) netChaosCellBody(cell NetChaosCell, pol rrnet.BackpressurePolicy
 			if err != nil {
 				return // the client's retries will exhaust loudly
 			}
-			addr.Store(ln2.Addr().String())
+			a := ln2.Addr().String()
+			addr.Store(&a)
 			current.Store(srv2)
 		}()
 	} else {
@@ -254,7 +256,7 @@ func (s *Suite) netChaosCellBody(cell NetChaosCell, pol rrnet.BackpressurePolicy
 		return cell
 	}
 	client.Dial = func(_ string, timeout time.Duration) (net.Conn, error) {
-		nc, err := net.DialTimeout("tcp", addr.Load().(string), timeout)
+		nc, err := net.DialTimeout("tcp", *addr.Load(), timeout)
 		if err != nil {
 			return nil, err
 		}

@@ -426,34 +426,11 @@ func (s *Suite) Replay(run *Run) (*replay.Result, error) {
 }
 
 func (s *Suite) replayRun(run *Run) (*replay.Result, error) {
-	patched, err := run.Res.Log.Patch()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: patch %s: %w", run.App, err)
-	}
-	cpi := make([]float64, run.Cores)
-	for c, st := range run.Res.CoreStats {
-		if st.Retired > 0 {
-			cpi[c] = float64(st.Cycles) / float64(st.Retired)
-		} else {
-			cpi[c] = 1
-		}
-	}
-	rpcfg := replay.DefaultConfig()
-	rpcfg.Telemetry = s.opts.Telemetry
-	rp, err := replay.New(rpcfg, patched, run.W.Progs, run.W.InitMem, cpi)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := rp.Run()
+	cfg := replay.DefaultConfig()
+	cfg.Telemetry = s.opts.Telemetry
+	rep, err := run.Res.Replay(cfg, run.W.Progs, run.W.InitMem)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: replay %s/%v/%v: %w", run.App, run.Variant, run.Mode, err)
-	}
-	retired := make([]uint64, run.Cores)
-	for c, st := range run.Res.CoreStats {
-		retired[c] = st.Retired
-	}
-	if err := replay.Verify(rep, run.Res.FinalMemory, run.Res.FinalRegs, retired); err != nil {
-		return nil, fmt.Errorf("experiments: %s/%v/%v: %w", run.App, run.Variant, run.Mode, err)
 	}
 	return rep, nil
 }

@@ -19,6 +19,15 @@ func calleeObj(pkg *Package, call *ast.CallExpr) types.Object {
 	return nil
 }
 
+// exprType returns the type the checker recorded for e, or nil.
+func exprType(pkg *Package, e ast.Expr) types.Type {
+	tv, ok := pkg.Info.Types[e]
+	if !ok {
+		return nil
+	}
+	return tv.Type
+}
+
 // objPkgPath returns the import path of the object's package ("" for
 // builtins and universe-scope objects).
 func objPkgPath(obj types.Object) string {

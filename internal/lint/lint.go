@@ -16,8 +16,6 @@
 //     (append without a later sort, writer/encoder/table calls).
 //   - errcheck-io: no discarded errors from replaylog encode/decode
 //     or Flush on the (fault-injectable) log write path.
-//   - lockcopy: no by-value copies of types holding locks or atomics
-//     (mutexes, the telemetry registry and its padded cells).
 //   - hotpath-alloc: functions annotated //rrlint:hotpath must stay
 //     free of fmt calls, closures and composite literals.
 //   - faultpoint: every fault-point-shaped string literal matches a
@@ -87,7 +85,6 @@ func Checks() []*Check {
 		detrandCheck,
 		maporderCheck,
 		errcheckIOCheck,
-		lockcopyCheck,
 		hotpathCheck,
 		faultpointCheck,
 		lockorderCheck,

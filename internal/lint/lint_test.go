@@ -21,7 +21,6 @@ var goldenFixtures = []struct {
 	{"detrand", "detrand"},
 	{"maporder", "maporder"},
 	{"errcheck-io", "errcheckio"},
-	{"lockcopy", "lockcopy"},
 	{"hotpath-alloc", "hotpath"},
 	{"faultpoint", "faultpoint"},
 	{"lockorder", "lockorder"},

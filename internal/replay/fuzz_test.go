@@ -43,7 +43,7 @@ func FuzzReplayPartial(f *testing.F) {
 	seed(unpatched)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, _, err := replaylog.DecodeRobust(bytes.NewReader(data))
+		l, _, err := replaylog.DecodeParallel(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -23,11 +23,10 @@ const (
 	// encodeV2AllocBudget bounds one v2 encode, which writes through a
 	// pooled buffer and allocates nothing in steady state.
 	encodeV2AllocBudget = 2
-	// decodeAllocBudget bounds one strict v3 decode, and
-	// decodeParallelAllocBudget one DecodeParallel: the decoded log is
-	// new memory, one entry slice per interval.
-	decodeAllocBudget         = 3500
-	decodeParallelAllocBudget = 3500
+	// decodeAllocBudget bounds one v3 decode, strict (Decode) or
+	// salvaging (DecodeParallel): the decoded log is new memory, one
+	// entry slice per interval.
+	decodeAllocBudget = 3500
 	// patchAllocBudget bounds one Patch: the log, its stream table,
 	// one scratch count slice, and per stream one interval slice and
 	// one backing entry array.
@@ -83,7 +82,7 @@ func TestEncodeV3AllocBudget(t *testing.T) {
 	skipAllocBudget(t)
 	l := recordLu(t)
 	checkAllocBudget(t, "encoding", encodeAllocBudget, func() {
-		if err := replaylog.EncodeV3Workers(io.Discard, l, replaylog.V3Options{}, nil, 8); err != nil {
+		if err := replaylog.EncodeV3Workers(io.Discard, l, 8); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -122,7 +121,7 @@ func TestDecodeAllocBudget(t *testing.T) {
 func TestDecodeParallelAllocBudget(t *testing.T) {
 	skipAllocBudget(t)
 	data := encodedLu(t)
-	checkAllocBudget(t, "parallel-decoding", decodeParallelAllocBudget, func() {
+	checkAllocBudget(t, "parallel-decoding", decodeAllocBudget, func() {
 		_, rep, err := replaylog.DecodeParallel(bytes.NewReader(data))
 		if err == nil {
 			err = rep.Err()

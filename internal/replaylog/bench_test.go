@@ -81,9 +81,9 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeRobust measures the resyncing decoder on a log with a
-// corrupt frame in the middle, the graceful-degradation hot path.
-func BenchmarkDecodeRobust(b *testing.B) {
+// BenchmarkDecodeDamaged measures the resyncing decoder on a log with
+// a corrupt frame in the middle, the graceful-degradation hot path.
+func BenchmarkDecodeDamaged(b *testing.B) {
 	l := benchLog(8, 256)
 	var buf bytes.Buffer
 	if err := Encode(&buf, l); err != nil {
@@ -95,7 +95,7 @@ func BenchmarkDecodeRobust(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeRobust(bytes.NewReader(data)); err != nil {
+		if _, _, err := DecodeParallel(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,27 +131,9 @@ func BenchmarkEncodeV3(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeV3 measures the sequential v3 decode.
+// BenchmarkDecodeV3 measures the v3 decode, its per-core streams on
+// up to GOMAXPROCS workers (-cpu 1 times the one-worker loop).
 func BenchmarkDecodeV3(b *testing.B) {
-	l := benchLog(8, 256)
-	var buf bytes.Buffer
-	if err := EncodeV3(&buf, l); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeRobust(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeV3Parallel measures the per-core parallel v3 decode
-// (the rrreplay read path) on the same bytes as BenchmarkDecodeV3.
-func BenchmarkDecodeV3Parallel(b *testing.B) {
 	l := benchLog(8, 256)
 	var buf bytes.Buffer
 	if err := EncodeV3(&buf, l); err != nil {

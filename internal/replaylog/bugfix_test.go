@@ -27,7 +27,7 @@ func TestBytesSkippedExactOnCRCMismatch(t *testing.T) {
 		bad := append([]byte(nil), data...)
 		bad[iv.end-5] ^= 0xFF // last payload byte: CRC now fails
 
-		_, rep, err := DecodeRobust(bytes.NewReader(bad))
+		_, rep, err := DecodeParallel(bytes.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestBytesSkippedExactOnCRCMismatch(t *testing.T) {
 		}
 	}
 	t.Run("v2", func(t *testing.T) { run(t, encodeBytes(t, sampleLog())) })
-	t.Run("v3", func(t *testing.T) { run(t, encodeV3Bytes(t, sampleLog(), V3Options{})) })
+	t.Run("v3", func(t *testing.T) { run(t, encodeV3Bytes(t, sampleLog(), v3Options{})) })
 }
 
 // Regression: PatchPartial must check Offset > Seq before computing

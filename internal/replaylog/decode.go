@@ -11,10 +11,10 @@ import (
 
 // Decode reads a log in any format (v1, v2 or v3), failing on any
 // corruption or truncation with a typed error (ErrCorruptFrame /
-// ErrTruncated). Use DecodeRobust to recover what a damaged stream
+// ErrTruncated). Use DecodeParallel to recover what a damaged stream
 // still holds.
 func Decode(r io.Reader) (*Log, error) {
-	l, rep, err := DecodeRobust(r)
+	l, rep, err := DecodeParallel(r)
 	if err != nil {
 		return nil, err
 	}
@@ -24,22 +24,18 @@ func Decode(r io.Reader) (*Log, error) {
 	return l, nil
 }
 
-// DecodeRobust reads a possibly-damaged log: it verifies every frame
+// DecodeParallel reads a possibly-damaged log: it verifies every frame
 // checksum, resynchronizes past corruption, drops duplicate frames,
 // enforces the format's allocation clamps, and returns whatever
 // decoded cleanly together with a CorruptionReport describing what
 // did not. The error is non-nil only when nothing was recoverable
 // (unreadable source, bad magic, unknown version).
-func DecodeRobust(r io.Reader) (*Log, *CorruptionReport, error) {
-	return decodeReader(r, 1)
-}
-
-// DecodeParallel is DecodeRobust with the v3 per-core decode fanned
-// out across GOMAXPROCS goroutines: after one sequential scan pass
-// partitions the frames, each core's group frames decompress and
-// decode concurrently, and the merge is deterministic — the returned
-// log and report are identical to DecodeRobust's on the same bytes.
-// v1/v2 streams have no per-core partitioning and decode sequentially.
+//
+// After one sequential scan pass partitions a v3 log's frames, each
+// core's group frames decompress and decode on up to GOMAXPROCS
+// goroutines, and the merge is deterministic: the log and report do
+// not depend on the worker count. v1/v2 streams have no per-core
+// partitioning and decode sequentially.
 func DecodeParallel(r io.Reader) (*Log, *CorruptionReport, error) {
 	return decodeReader(r, runtime.GOMAXPROCS(0))
 }

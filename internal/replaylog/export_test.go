@@ -1,4 +1,9 @@
 package replaylog
 
-// EncodeV3Workers is encodeV3, for the package's external tests.
-var EncodeV3Workers = encodeV3
+import "io"
+
+// EncodeV3Workers is encodeV3 with the default options, for the
+// package's external tests.
+func EncodeV3Workers(w io.Writer, l *Log, workers int) error {
+	return encodeV3(w, l, v3Options{}, nil, workers)
+}

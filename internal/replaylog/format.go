@@ -59,13 +59,13 @@ import (
 // resync path, and a future payload version is skipped cleanly by
 // matching on the leading version byte.
 //
-// A group body holds up to V3Options.GroupSize consecutive intervals
+// A group body holds up to DefaultGroupSize consecutive intervals
 // of one core, delta-encoded: the first interval carries absolute
 // Seq/Timestamp varints, later ones carry (strictly positive) Seq
 // deltas and (non-negative) Timestamp deltas; store/atomic addresses
 // are zigzag deltas against the previous address in the group; every
 // other entry field is a varint. The group frame is the unit of loss —
-// a corrupt frame costs at most GroupSize intervals — and is
+// a corrupt frame costs at most one group of intervals — and is
 // self-contained, so the robust decoder salvages frame by frame and
 // OpenIndexed decodes one group without touching the rest of the file.
 // The index footer is advisory: destroying it (or the end frame) only
@@ -88,7 +88,7 @@ const (
 	// FrameProvenance is a v3 per-core interval-provenance sideband
 	// frame (termination causes, conflict lines, reorder instants);
 	// see provenance.go for the payload layout. Self-contained and
-	// CRC32C-framed like every other frame, so DecodeRobust salvages
+	// CRC32C-framed like every other frame, so DecodeParallel salvages
 	// it independently and pre-provenance decoders resync past it.
 	FrameProvenance FrameType = 8
 )

@@ -112,9 +112,9 @@ func TestCorruptEachFrameEachRegion(t *testing.T) {
 					t.Skip("frame too short for region")
 				}
 				data[off] ^= 0x40
-				l, rep, err := DecodeRobust(bytes.NewReader(data))
+				l, rep, err := DecodeParallel(bytes.NewReader(data))
 				if err != nil {
-					t.Fatalf("DecodeRobust hard-failed: %v", err)
+					t.Fatalf("DecodeParallel hard-failed: %v", err)
 				}
 				if rep.Clean() {
 					t.Fatalf("corruption at %s went undetected", name)
@@ -168,7 +168,7 @@ func TestCorruptionReportNamesInterval(t *testing.T) {
 	f := frames[5]
 	data := append([]byte(nil), clean...)
 	data[f.end-1] ^= 0xFF // CRC byte
-	_, rep, err := DecodeRobust(bytes.NewReader(data))
+	_, rep, err := DecodeParallel(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestTruncatedTail(t *testing.T) {
 	clean := encodeBytes(t, sampleLog())
 	for _, cut := range []int{1, 5, 13, len(clean) / 2} {
 		data := clean[:len(clean)-cut]
-		l, rep, err := DecodeRobust(bytes.NewReader(data))
+		l, rep, err := DecodeParallel(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -209,7 +209,7 @@ func TestHeaderLostIsInferred(t *testing.T) {
 	frames := frameSpans(t, clean)
 	data := append([]byte(nil), clean...)
 	data[frames[0].start+10] ^= 1 // header frame body
-	l, rep, err := DecodeRobust(bytes.NewReader(data))
+	l, rep, err := DecodeParallel(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +225,13 @@ func TestDuplicatedFrameIsDropped(t *testing.T) {
 	orig := sampleLog()
 	inj := faultinject.New(21, faultinject.LogDupFrame)
 	var buf bytes.Buffer
-	if err := EncodeV3With(&buf, orig, V3Options{}, inj); err != nil {
+	if err := EncodeV3With(&buf, orig, inj); err != nil {
 		t.Fatal(err)
 	}
 	if inj.Counts()[faultinject.LogDupFrame] != 1 {
 		t.Fatalf("dupframe fired %d times", inj.Counts()[faultinject.LogDupFrame])
 	}
-	l, rep, err := DecodeRobust(bytes.NewReader(buf.Bytes()))
+	l, rep, err := DecodeParallel(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +250,9 @@ func TestDuplicatedFrameIsDropped(t *testing.T) {
 // injector with no armed log points must not change the bytes either.
 func TestEncodeV3WithDisabledInjectorIsByteIdentical(t *testing.T) {
 	orig := sampleLog()
-	plain := encodeV3Bytes(t, orig, V3Options{})
+	plain := encodeV3Bytes(t, orig, v3Options{})
 	var with bytes.Buffer
-	if err := EncodeV3With(&with, orig, V3Options{}, nil); err != nil {
+	if err := EncodeV3With(&with, orig, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, with.Bytes()) {
@@ -260,7 +260,7 @@ func TestEncodeV3WithDisabledInjectorIsByteIdentical(t *testing.T) {
 	}
 	with.Reset()
 	inj := faultinject.New(3, faultinject.ICDrop) // no log points armed
-	if err := EncodeV3With(&with, orig, V3Options{}, inj); err != nil {
+	if err := EncodeV3With(&with, orig, inj); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, with.Bytes()) {
@@ -307,9 +307,9 @@ func TestHostileHeaders(t *testing.T) {
 			if _, err := Decode(bytes.NewReader(data)); err == nil {
 				t.Fatal("strict Decode accepted a hostile header")
 			}
-			// DecodeRobust must also survive (and not allocate wildly —
+			// DecodeParallel must also survive (and not allocate wildly —
 			// enforced by this completing instantly under -timeout).
-			_, rep, err := DecodeRobust(bytes.NewReader(data))
+			_, rep, err := DecodeParallel(bytes.NewReader(data))
 			if err == nil && rep.Clean() {
 				t.Fatal("robust decode called hostile bytes clean")
 			}
@@ -413,7 +413,7 @@ func TestV1TruncatedKeepsPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()[:buf.Len()-10]
-	l, rep, err := DecodeRobust(bytes.NewReader(data))
+	l, rep, err := DecodeParallel(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

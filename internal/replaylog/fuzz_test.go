@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzDecode feeds arbitrary bytes to both decoders. Invariants:
-// DecodeRobust never panics, never hard-fails on well-prefixed input,
+// DecodeParallel never panics, never hard-fails on well-prefixed input,
 // and anything it calls clean must re-encode and decode to the same
 // log; strict Decode must agree with the report's verdict.
 func FuzzDecode(f *testing.F) {
@@ -40,7 +40,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, rep, err := DecodeRobust(bytes.NewReader(data))
+		l, rep, err := DecodeParallel(bytes.NewReader(data))
 		if err != nil {
 			if l != nil || rep != nil {
 				t.Fatal("hard failure returned a partial result")
@@ -67,7 +67,7 @@ func FuzzDecode(f *testing.F) {
 			if err := Encode(&re, l); err != nil {
 				t.Fatalf("clean decode does not re-encode: %v", err)
 			}
-			l2, rep2, err := DecodeRobust(bytes.NewReader(re.Bytes()))
+			l2, rep2, err := DecodeParallel(bytes.NewReader(re.Bytes()))
 			if err != nil || !rep2.Clean() {
 				t.Fatalf("re-encoded clean log is not clean: %v %+v", err, rep2)
 			}
@@ -80,25 +80,23 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzDecodeV3 targets the v3 pipeline: group frames, deflate bodies,
 // the segment index and the parallel per-core decoder. Invariants:
-// DecodeRobust never panics; DecodeParallel returns the identical log
-// AND report on every input; and a clean v3 decode re-encodes with
-// EncodeV3 losslessly (clean v3 enforces the per-core seq/timestamp
-// monotonicity EncodeV3 demands, so re-encoding must never fail).
+// the decode never panics; on four workers it returns the log AND
+// report one worker does on every input; and a clean v3 decode
+// re-encodes with EncodeV3 losslessly (clean v3 enforces the per-core
+// seq/timestamp monotonicity EncodeV3 demands, so re-encoding must
+// never fail).
 func FuzzDecodeV3(f *testing.F) {
-	seed := func(l *Log, opts V3Options) []byte {
-		var buf bytes.Buffer
-		if err := EncodeV3With(&buf, l, opts, nil); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		return buf.Bytes()
+	seed := func(l *Log, opts v3Options) []byte {
+		data := encodeV3Bytes(f, l, opts)
+		f.Add(data)
+		return data
 	}
-	clean := seed(sampleLog(), V3Options{})
-	seed(sampleLog(), V3Options{NoCompress: true})
-	seed(sampleLog(), V3Options{GroupSize: 1})
+	clean := seed(sampleLog(), v3Options{})
+	seed(sampleLog(), v3Options{noCompress: true})
+	seed(sampleLog(), v3Options{groupSize: 1})
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 3; i++ {
-		seed(randomLog(rng), V3Options{})
+		seed(randomLog(rng), v3Options{})
 	}
 	// Damaged variants: a flipped payload byte (CRC salvage path), a
 	// truncated tail (lost index footer), and a bare preamble.
@@ -111,10 +109,10 @@ func FuzzDecodeV3(f *testing.F) {
 	f.Add([]byte{'R', 'R', 'L', 'G', 3, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, rep, err := DecodeRobust(bytes.NewReader(data))
-		pl, prep, perr := DecodeParallel(bytes.NewReader(data))
+		l, rep, err := decodeReader(bytes.NewReader(data), 1)
+		pl, prep, perr := decodeReader(bytes.NewReader(data), 4)
 		if (err == nil) != (perr == nil) {
-			t.Fatalf("robust err=%v but parallel err=%v", err, perr)
+			t.Fatalf("serial err=%v but parallel err=%v", err, perr)
 		}
 		if err != nil {
 			if l != nil || rep != nil {
@@ -123,14 +121,14 @@ func FuzzDecodeV3(f *testing.F) {
 			return
 		}
 		if !reflect.DeepEqual(l, pl) || !reflect.DeepEqual(rep, prep) {
-			t.Fatal("parallel decode disagrees with robust decode")
+			t.Fatal("parallel decode disagrees with serial decode")
 		}
 		if rep.Clean() && rep.Version == 3 {
 			var re bytes.Buffer
 			if err := EncodeV3(&re, l); err != nil {
 				t.Fatalf("clean v3 decode does not re-encode: %v", err)
 			}
-			l2, rep2, err := DecodeRobust(bytes.NewReader(re.Bytes()))
+			l2, rep2, err := DecodeParallel(bytes.NewReader(re.Bytes()))
 			if err != nil || !rep2.Clean() {
 				t.Fatalf("re-encoded clean v3 log is not clean: %v %+v", err, rep2)
 			}
@@ -143,10 +141,10 @@ func FuzzDecodeV3(f *testing.F) {
 
 // FuzzDecodeProvenance targets the FrameProvenance codec: the sideband
 // payload parser, its version gate, and the frame-is-the-unit-of-loss
-// salvage rule. Invariants: DecodeRobust never panics and DecodeParallel
-// agrees exactly; every decoded record respects the wire limits the
-// parser promises to enforce; and a clean v3 decode re-encodes with
-// EncodeV3 losslessly, sideband included.
+// salvage rule. Invariants: the decode never panics and agrees
+// exactly on one and four workers; every decoded record respects the
+// wire limits the parser promises to enforce; and a clean v3 decode
+// re-encodes with EncodeV3 losslessly, sideband included.
 func FuzzDecodeProvenance(f *testing.F) {
 	clean := func() []byte {
 		var buf bytes.Buffer
@@ -178,10 +176,10 @@ func FuzzDecodeProvenance(f *testing.F) {
 	f.Add([]byte{'R', 'R', 'L', 'G', 3, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, rep, err := DecodeRobust(bytes.NewReader(data))
-		pl, prep, perr := DecodeParallel(bytes.NewReader(data))
+		l, rep, err := decodeReader(bytes.NewReader(data), 1)
+		pl, prep, perr := decodeReader(bytes.NewReader(data), 4)
 		if (err == nil) != (perr == nil) {
-			t.Fatalf("robust err=%v but parallel err=%v", err, perr)
+			t.Fatalf("serial err=%v but parallel err=%v", err, perr)
 		}
 		if err != nil {
 			if l != nil || rep != nil {
@@ -190,7 +188,7 @@ func FuzzDecodeProvenance(f *testing.F) {
 			return
 		}
 		if !reflect.DeepEqual(l, pl) || !reflect.DeepEqual(rep, prep) {
-			t.Fatal("parallel decode disagrees with robust decode")
+			t.Fatal("parallel decode disagrees with serial decode")
 		}
 		for _, cp := range l.Provenance {
 			if cp.Core < 0 || cp.Core >= MaxCores {
@@ -215,7 +213,7 @@ func FuzzDecodeProvenance(f *testing.F) {
 			if err := EncodeV3(&re, l); err != nil {
 				t.Fatalf("clean v3 decode does not re-encode: %v", err)
 			}
-			l2, rep2, err := DecodeRobust(bytes.NewReader(re.Bytes()))
+			l2, rep2, err := DecodeParallel(bytes.NewReader(re.Bytes()))
 			if err != nil || !rep2.Clean() {
 				t.Fatalf("re-encoded clean v3 log is not clean: %v %+v", err, rep2)
 			}

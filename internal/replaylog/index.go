@@ -16,7 +16,7 @@ import (
 // group frame per lookup — O(log n) in the span table plus one group
 // decode — instead of scanning the whole file. The index is advisory:
 // if the footer, the end frame, or a sought group frame is damaged, or
-// the file predates v3, the reader degrades to one full DecodeRobust
+// the file predates v3, the reader degrades to one full DecodeParallel
 // pass and serves every lookup from memory.
 
 // IndexSpan locates one group frame: the closed interval-sequence
@@ -187,7 +187,7 @@ func (ix *IndexedLog) Spans() int { return ix.spanCnt }
 // it when the index is live. Damage discovered on the seek path
 // (a group frame that no longer matches its checksum, say) silently
 // degrades that lookup to the linear-scan fallback, which salvages
-// like DecodeRobust. Returns ErrNoInterval when the log has no such
+// like DecodeParallel. Returns ErrNoInterval when the log has no such
 // interval. The returned Interval shares no state with the reader on
 // the indexed path; on the fallback path it aliases the cached log.
 func (ix *IndexedLog) DecodeInterval(core int, seq uint64) (*Interval, error) {
@@ -263,7 +263,7 @@ func (ix *IndexedLog) fallbackInterval(core int, seq uint64) (*Interval, error) 
 // path and returns the cached result thereafter.
 func (ix *IndexedLog) fullDecode() (*Log, *CorruptionReport, error) {
 	ix.fullOnce.Do(func() {
-		ix.full, ix.fullRep, ix.fullErr = DecodeRobust(io.NewSectionReader(ix.r, 0, ix.size))
+		ix.full, ix.fullRep, ix.fullErr = DecodeParallel(io.NewSectionReader(ix.r, 0, ix.size))
 	})
 	return ix.full, ix.fullRep, ix.fullErr
 }

@@ -86,7 +86,7 @@ func TestFrameCountTrailer(t *testing.T) {
 		t.Fatal("no inputs frame in sample log")
 	}
 	spliced := append(append([]byte(nil), data[:cut.start]...), data[cut.end:]...)
-	_, rep, err := DecodeRobust(bytes.NewReader(spliced))
+	_, rep, err := DecodeParallel(bytes.NewReader(spliced))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,21 +53,21 @@ func reframe(data []byte, start, end int) {
 }
 
 // TestProvenanceV3RoundTrip: the sideband survives an encode/decode
-// cycle exactly, through both the robust and the parallel decoder.
+// cycle exactly, decoded on one worker and on four.
 func TestProvenanceV3RoundTrip(t *testing.T) {
 	l := provSampleLog()
 	var buf bytes.Buffer
 	if err := EncodeV3(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := DecodeRobust(bytes.NewReader(buf.Bytes()))
+	got, rep, err := decodeReader(bytes.NewReader(buf.Bytes()), 1)
 	if err != nil || !rep.Clean() {
 		t.Fatalf("decode: err=%v report=%+v", err, rep)
 	}
 	if !reflect.DeepEqual(got.Provenance, l.Provenance) {
 		t.Fatalf("provenance changed:\n got %+v\nwant %+v", got.Provenance, l.Provenance)
 	}
-	pgot, prep, perr := DecodeParallel(bytes.NewReader(buf.Bytes()))
+	pgot, prep, perr := decodeReader(bytes.NewReader(buf.Bytes()), 4)
 	if perr != nil || !reflect.DeepEqual(pgot, got) || !reflect.DeepEqual(prep, rep) {
 		t.Fatalf("parallel decode disagrees: err=%v", perr)
 	}
@@ -128,7 +128,7 @@ func TestProvenanceUnknownVersionSkippedCleanly(t *testing.T) {
 	if patched == 0 {
 		t.Fatal("no provenance frames found")
 	}
-	got, rep, err := DecodeRobust(bytes.NewReader(data))
+	got, rep, err := DecodeParallel(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestProvenanceUnknownVersionSkippedCleanly(t *testing.T) {
 	}
 }
 
-// TestProvenanceSurvivesGroupCorruption: DecodeRobust salvages the
+// TestProvenanceSurvivesGroupCorruption: DecodeParallel salvages the
 // sideband independently — shredding a group frame loses intervals,
 // never the provenance.
 func TestProvenanceSurvivesGroupCorruption(t *testing.T) {
@@ -158,7 +158,7 @@ func TestProvenanceSurvivesGroupCorruption(t *testing.T) {
 		t.Fatal("no group frame found")
 	}
 	data[(s+9+e-4)/2] ^= 0xFF // corrupt the group payload, CRC now fails
-	got, rep, err := DecodeRobust(bytes.NewReader(data))
+	got, rep, err := DecodeParallel(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestProvenanceCorruptFrameDropsSidebandOnly(t *testing.T) {
 		t.Fatal("no provenance frame found")
 	}
 	data[(s+9+e-4)/2] ^= 0xFF
-	got, rep, err := DecodeRobust(bytes.NewReader(data))
+	got, rep, err := DecodeParallel(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestProvenanceDuplicateCoreFramesConcatenate(t *testing.T) {
 	if err := EncodeV3(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := DecodeRobust(bytes.NewReader(buf.Bytes()))
+	got, rep, err := DecodeParallel(bytes.NewReader(buf.Bytes()))
 	if err != nil || !rep.Clean() {
 		t.Fatalf("decode: err=%v report=%+v", err, rep)
 	}

@@ -23,27 +23,27 @@ import (
 // parallelizes. v3 is the format every writer outside this package
 // produces.
 
-// DefaultGroupSize is the number of intervals per v3 group frame when
-// V3Options.GroupSize is zero. The group is the unit of loss under
-// corruption and the unit of work for an indexed seek, so the default
-// balances compression context against salvage granularity.
+// DefaultGroupSize is the number of intervals per v3 group frame. The
+// group is the unit of loss under corruption and the unit of work for
+// an indexed seek, so the size balances compression context against
+// salvage granularity.
 const DefaultGroupSize = 64
 
 // flagFlate marks a group frame whose body went through the flate
 // stage. Remaining flag bits are reserved and must be zero.
 const flagFlate = 1 << 0
 
-// V3Options configures EncodeV3With. The zero value is the default
-// encoding: DefaultGroupSize intervals per group, flate enabled.
-type V3Options struct {
-	// GroupSize is the number of consecutive intervals per group
+// v3Options are the encoder settings the package's tests vary. The
+// zero value is the encoding every writer produces: DefaultGroupSize
+// intervals per group, flate enabled.
+type v3Options struct {
+	// groupSize is the number of consecutive intervals per group
 	// frame; 0 means DefaultGroupSize. Values above MaxGroupIntervals
 	// are clamped.
-	GroupSize int
-	// NoCompress disables the per-frame flate stage; bodies are
-	// written delta/varint-encoded but raw. Useful when the caller
-	// compresses at a higher layer or wants cheaper encodes.
-	NoCompress bool
+	groupSize int
+	// noCompress skips the per-frame flate stage; bodies are written
+	// delta/varint-encoded but raw.
+	noCompress bool
 }
 
 // ErrUnordered reports a log that v3 cannot represent: group delta
@@ -56,13 +56,12 @@ var ErrUnordered = errors.New("replaylog: v3 requires per-core ordered intervals
 // without calling fmt.
 var errV3EntryType = errors.New("replaylog: cannot encode entry type in v3 group")
 
-// EncodeV3 writes the log to w in format v3 with default options.
-func EncodeV3(w io.Writer, l *Log) error { return EncodeV3With(w, l, V3Options{}, nil) }
+// EncodeV3 writes the log to w in format v3.
+func EncodeV3(w io.Writer, l *Log) error { return EncodeV3With(w, l, nil) }
 
 // EncodeV3With writes the log to w in format v3. The output is
-// deterministic: the same log and options always produce the same
-// bytes, whatever GOMAXPROCS is (the flate stage runs on up to
-// GOMAXPROCS goroutines). Returns ErrUnordered if any core's intervals
+// deterministic: the same log always produces the same bytes, whatever
+// GOMAXPROCS is (the flate stage runs on up to GOMAXPROCS goroutines). Returns ErrUnordered if any core's intervals
 // are not strictly increasing in Seq or decrease in Timestamp, and
 // ErrOversizeFrame under the same count clamps as Encode.
 //
@@ -70,8 +69,8 @@ func EncodeV3(w io.Writer, l *Log) error { return EncodeV3With(w, l, V3Options{}
 // one group frame twice: the duplicated-frame fault the robust decoder
 // must absorb. A nil injector, or one without that point, changes no
 // byte.
-func EncodeV3With(w io.Writer, l *Log, opts V3Options, inj *faultinject.Injector) error {
-	return encodeV3(w, l, opts, inj, runtime.GOMAXPROCS(0))
+func EncodeV3With(w io.Writer, l *Log, inj *faultinject.Injector) error {
+	return encodeV3(w, l, v3Options{}, inj, runtime.GOMAXPROCS(0))
 }
 
 // encodeV3 is EncodeV3With with the flate stage spread over at most
@@ -79,7 +78,7 @@ func EncodeV3With(w io.Writer, l *Log, opts V3Options, inj *faultinject.Injector
 // log.dupframe fires and the error returned do not depend on workers:
 // group bodies are built, and frames written, serially in file order;
 // only flate runs on the workers.
-func encodeV3(w io.Writer, l *Log, opts V3Options, inj *faultinject.Injector, workers int) error {
+func encodeV3(w io.Writer, l *Log, opts v3Options, inj *faultinject.Injector, workers int) error {
 	if err := checkEncodeCounts(l); err != nil {
 		return err
 	}
@@ -94,7 +93,7 @@ func encodeV3(w io.Writer, l *Log, opts V3Options, inj *faultinject.Injector, wo
 			}
 		}
 	}
-	gs := opts.GroupSize
+	gs := opts.groupSize
 	if gs <= 0 {
 		gs = DefaultGroupSize
 	}
@@ -107,7 +106,7 @@ func encodeV3(w io.Writer, l *Log, opts V3Options, inj *faultinject.Injector, wo
 	enc.headerFrames(l)
 
 	failStream, bodyErr := enc.groupBodies(l, gs)
-	if !opts.NoCompress {
+	if !opts.noCompress {
 		enc.compressGroups(min(workers, len(l.Streams)))
 	}
 

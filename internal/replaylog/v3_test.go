@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -12,10 +13,10 @@ import (
 	"relaxreplay/internal/frame"
 )
 
-func encodeV3Bytes(t *testing.T, l *Log, opts V3Options) []byte {
+func encodeV3Bytes(t testing.TB, l *Log, opts v3Options) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := EncodeV3With(&buf, l, opts, nil); err != nil {
+	if err := encodeV3(&buf, l, opts, nil, runtime.GOMAXPROCS(0)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -57,7 +58,7 @@ func genLog(cores, n int) *Log {
 
 func TestEncodeV3RoundTrip(t *testing.T) {
 	l := sampleLog()
-	data := encodeV3Bytes(t, l, V3Options{})
+	data := encodeV3Bytes(t, l, v3Options{})
 	got, err := Decode(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -66,10 +67,10 @@ func TestEncodeV3RoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", l, got)
 	}
 	// v3 encoding is deterministic: same log, same bytes.
-	if !bytes.Equal(data, encodeV3Bytes(t, l, V3Options{})) {
+	if !bytes.Equal(data, encodeV3Bytes(t, l, v3Options{})) {
 		t.Fatal("EncodeV3 is not deterministic")
 	}
-	_, rep, err := DecodeRobust(bytes.NewReader(data))
+	_, rep, err := DecodeParallel(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +81,13 @@ func TestEncodeV3RoundTrip(t *testing.T) {
 
 func TestEncodeV3OptionsRoundTrip(t *testing.T) {
 	big := genLog(3, 100)
-	for _, opts := range []V3Options{
+	for _, opts := range []v3Options{
 		{},
-		{GroupSize: 1},
-		{GroupSize: 7},
-		{GroupSize: 1 << 20}, // clamped
-		{NoCompress: true},
-		{GroupSize: 3, NoCompress: true},
+		{groupSize: 1},
+		{groupSize: 7},
+		{groupSize: 1 << 20}, // clamped
+		{noCompress: true},
+		{groupSize: 3, noCompress: true},
 	} {
 		data := encodeV3Bytes(t, big, opts)
 		got, err := Decode(bytes.NewReader(data))
@@ -136,7 +137,7 @@ func TestEncodeV3RejectsUnordered(t *testing.T) {
 func TestV3Compresses(t *testing.T) {
 	l := genLog(4, 200)
 	v2 := encodeBytes(t, l)
-	v3 := encodeV3Bytes(t, l, V3Options{})
+	v3 := encodeV3Bytes(t, l, v3Options{})
 	if len(v3) >= len(v2) {
 		t.Fatalf("v3 (%d B) not smaller than v2 (%d B)", len(v3), len(v2))
 	}
@@ -147,7 +148,7 @@ func TestV3Compresses(t *testing.T) {
 // exactly the damaged group and nothing else.
 func TestV3SalvageCorruptGroupAndLostIndex(t *testing.T) {
 	l := genLog(3, 64)
-	data := encodeV3Bytes(t, l, V3Options{GroupSize: 8})
+	data := encodeV3Bytes(t, l, v3Options{groupSize: 8})
 	frames := frameSpans(t, data)
 	var groups []frameSpan
 	var index, end frameSpan
@@ -173,7 +174,7 @@ func TestV3SalvageCorruptGroupAndLostIndex(t *testing.T) {
 		bad[i] = 0xAA
 	}
 
-	got, rep, err := DecodeRobust(bytes.NewReader(bad))
+	got, rep, err := DecodeParallel(bytes.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +211,11 @@ func TestV3SalvageCorruptGroupAndLostIndex(t *testing.T) {
 	}
 }
 
-// DecodeParallel must be DecodeRobust, bit for bit, on clean and
-// damaged streams alike — log and report both.
+// A decode on four workers must equal the one-worker decode, bit for
+// bit, on clean and damaged streams alike — log and report both.
 func TestDecodeParallelMatchesRobust(t *testing.T) {
 	l := genLog(4, 64)
-	clean := encodeV3Bytes(t, l, V3Options{GroupSize: 8})
+	clean := encodeV3Bytes(t, l, v3Options{groupSize: 8})
 
 	corrupt := append([]byte(nil), clean...)
 	frames := frameSpans(t, clean)
@@ -230,16 +231,16 @@ func TestDecodeParallelMatchesRobust(t *testing.T) {
 	truncated := clean[:len(clean)*2/3]
 
 	for name, data := range map[string][]byte{"clean": clean, "corrupt": corrupt, "truncated": truncated} {
-		gotR, repR, errR := DecodeRobust(bytes.NewReader(data))
-		gotP, repP, errP := DecodeParallel(bytes.NewReader(data))
+		gotR, repR, errR := decodeReader(bytes.NewReader(data), 1)
+		gotP, repP, errP := decodeReader(bytes.NewReader(data), 4)
 		if (errR == nil) != (errP == nil) {
 			t.Fatalf("%s: error mismatch: %v vs %v", name, errR, errP)
 		}
 		if !reflect.DeepEqual(gotR, gotP) {
-			t.Errorf("%s: logs differ between robust and parallel decode", name)
+			t.Errorf("%s: logs differ between serial and parallel decode", name)
 		}
 		if !reflect.DeepEqual(repR, repP) {
-			t.Errorf("%s: reports differ:\nrobust:   %+v\nparallel: %+v", name, repR, repP)
+			t.Errorf("%s: reports differ:\nserial:   %+v\nparallel: %+v", name, repR, repP)
 		}
 	}
 }
@@ -249,7 +250,7 @@ func TestDecodeParallelMatchesRobust(t *testing.T) {
 // once, each fanning its cores out over four workers that share the
 // inflater pool. Every result must equal the serial decode's.
 func TestDecodeParallelSharedInflaters(t *testing.T) {
-	clean := encodeV3Bytes(t, benchLog(4, 128), V3Options{GroupSize: 16})
+	clean := encodeV3Bytes(t, benchLog(4, 128), v3Options{groupSize: 16})
 	bad := append([]byte(nil), clean...)
 	n := 0
 	for _, f := range frameSpans(t, bad) {
@@ -322,7 +323,7 @@ func TestInflaterDropsLargeBuffer(t *testing.T) {
 
 func TestOpenIndexedSeeks(t *testing.T) {
 	l := genLog(3, 50)
-	data := encodeV3Bytes(t, l, V3Options{GroupSize: 8})
+	data := encodeV3Bytes(t, l, v3Options{groupSize: 8})
 	ix, err := OpenIndexed(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +356,7 @@ func TestOpenIndexedSeeks(t *testing.T) {
 
 func TestOpenIndexedFallsBack(t *testing.T) {
 	l := genLog(2, 40)
-	data := encodeV3Bytes(t, l, V3Options{GroupSize: 8})
+	data := encodeV3Bytes(t, l, v3Options{groupSize: 8})
 	frames := frameSpans(t, data)
 
 	check := func(t *testing.T, ix *IndexedLog) {
@@ -471,7 +472,7 @@ func TestOpenIndexedFallsBack(t *testing.T) {
 		}
 		// Seqs 0..7 of core 0 live in the shredded group: the seek hits
 		// damage, degrades to the linear fallback, and the fallback
-		// (like DecodeRobust) has lost them too.
+		// (like DecodeParallel) has lost them too.
 		if _, err := ix.DecodeInterval(0, 0); err == nil {
 			t.Error("interval in corrupt group served anyway")
 		}
@@ -502,8 +503,8 @@ func TestOldVersionsStillDecode(t *testing.T) {
 
 	v2 := encodeBytes(t, l)
 	for name, dec := range map[string]func(*bytes.Reader) (*Log, *CorruptionReport, error){
-		"robust":   func(r *bytes.Reader) (*Log, *CorruptionReport, error) { return DecodeRobust(r) },
-		"parallel": func(r *bytes.Reader) (*Log, *CorruptionReport, error) { return DecodeParallel(r) },
+		"serial":   func(r *bytes.Reader) (*Log, *CorruptionReport, error) { return decodeReader(r, 1) },
+		"parallel": func(r *bytes.Reader) (*Log, *CorruptionReport, error) { return decodeReader(r, 4) },
 	} {
 		got, rep, err := dec(bytes.NewReader(v2))
 		if err != nil || !rep.Clean() || rep.Version != 2 {

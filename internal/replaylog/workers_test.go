@@ -17,7 +17,7 @@ var workerCounts = []int{1, 2, 8}
 
 // encodeWorkers encodes l at the given worker count into w and returns
 // the error; with dup set it arms log.dupframe at a fixed seed.
-func encodeWorkers(w io.Writer, l *Log, opts V3Options, dup bool, workers int) error {
+func encodeWorkers(w io.Writer, l *Log, opts v3Options, dup bool, workers int) error {
 	var inj *faultinject.Injector
 	if dup {
 		inj = faultinject.New(21, faultinject.LogDupFrame)
@@ -32,14 +32,14 @@ func TestEncodeV3BytesIndependentOfWorkers(t *testing.T) {
 	cases := []struct {
 		name string
 		l    *Log
-		opts V3Options
+		opts v3Options
 	}{
-		{"bench", benchLog(8, 256), V3Options{}},
-		{"bench/group7", benchLog(8, 256), V3Options{GroupSize: 7}},
-		{"bench/nocompress", benchLog(8, 256), V3Options{NoCompress: true}},
-		{"one-core", benchLog(1, 300), V3Options{}},
-		{"sample", sampleLog(), V3Options{}},
-		{"empty", &Log{Cores: 2, Variant: "opt", Streams: []CoreLog{{Core: 0}, {Core: 1}}}, V3Options{}},
+		{"bench", benchLog(8, 256), v3Options{}},
+		{"bench/group7", benchLog(8, 256), v3Options{groupSize: 7}},
+		{"bench/nocompress", benchLog(8, 256), v3Options{noCompress: true}},
+		{"one-core", benchLog(1, 300), v3Options{}},
+		{"sample", sampleLog(), v3Options{}},
+		{"empty", &Log{Cores: 2, Variant: "opt", Streams: []CoreLog{{Core: 0}, {Core: 1}}}, v3Options{}},
 	}
 	for _, c := range cases {
 		for _, dup := range []bool{false, true} {
@@ -69,7 +69,7 @@ func TestEncodeV3ConcurrentEncodes(t *testing.T) {
 	want := make([][]byte, len(logs))
 	for i, l := range logs {
 		var b bytes.Buffer
-		if err := encodeWorkers(&b, l, V3Options{}, false, 1); err != nil {
+		if err := encodeWorkers(&b, l, v3Options{}, false, 1); err != nil {
 			t.Fatal(err)
 		}
 		want[i] = b.Bytes()
@@ -82,7 +82,7 @@ func TestEncodeV3ConcurrentEncodes(t *testing.T) {
 			for i := range 12 {
 				k := (g + i) % len(logs)
 				var b bytes.Buffer
-				if err := encodeWorkers(&b, logs[k], V3Options{}, false, 1+i%3); err != nil {
+				if err := encodeWorkers(&b, logs[k], v3Options{}, false, 1+i%3); err != nil {
 					t.Error(err)
 					return
 				}
@@ -141,7 +141,7 @@ func TestEncodeV3ErrorIndependentOfWorkers(t *testing.T) {
 			if c.limit == 0 {
 				w.n = 1 << 30
 			}
-			err := encodeWorkers(w, c.l, V3Options{}, false, n)
+			err := encodeWorkers(w, c.l, v3Options{}, false, n)
 			if !errors.Is(err, c.want) {
 				t.Fatalf("%s at %d workers: err = %v, want %v", c.name, n, err, c.want)
 			}

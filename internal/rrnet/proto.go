@@ -14,8 +14,8 @@
 // degradation record, or spill to disk); the server deduplicates
 // re-delivered chunks so retry is idempotent; and the journal fsyncs
 // at segment boundaries and recovers after a crash with the same
-// salvage-by-resync discipline as DecodeRobust. See DESIGN.md
-// "Networked streaming: rrd, rrproc and the journal".
+// salvage-by-resync discipline as replaylog.DecodeParallel. See
+// DESIGN.md "Networked streaming: rrd, rrproc and the journal".
 package rrnet
 
 import (

@@ -384,8 +384,8 @@ func (r *Recording) Provenance() []CoreProvenance { return r.res.Log.Provenance 
 // any provenance sideband) to w in log format v3: CRC32C-framed,
 // delta/varint group frames with a flate stage, plus a segment index
 // footer that lets OpenIndexed seek individual intervals without a
-// full scan. The readers (ReadLog, ReadLogRobust and the parallel
-// variants) also accept the older v1 and v2 formats.
+// full scan. ReadLog and ReadLogRobust also accept the older v1 and
+// v2 formats.
 func (r *Recording) WriteLog(w io.Writer) error { return replaylog.EncodeV3(w, r.res.Log) }
 
 // WriteLogWith is WriteLog under fault injection: the encoder consults
@@ -396,7 +396,7 @@ func (r *Recording) WriteLog(w io.Writer) error { return replaylog.EncodeV3(w, r
 // WriteLog.
 func (r *Recording) WriteLogWith(w io.Writer, inj *FaultInjector) ([]string, error) {
 	var buf bytes.Buffer
-	if err := replaylog.EncodeV3With(&buf, r.res.Log, replaylog.V3Options{}, inj); err != nil {
+	if err := replaylog.EncodeV3With(&buf, r.res.Log, inj); err != nil {
 		return nil, err
 	}
 	data, applied := inj.Corrupt(buf.Bytes())
@@ -404,25 +404,12 @@ func (r *Recording) WriteLogWith(w io.Writer, inj *FaultInjector) ([]string, err
 	return applied, err
 }
 
-// ReadLog deserializes a log written by WriteLog. It is strict: any
-// corruption (bad checksum, torn frame, duplicated frame) fails with
-// an error matching ErrCorruptFrame or ErrTruncated. Use
-// ReadLogRobust to salvage what a damaged log still holds.
+// ReadLog deserializes a log written by WriteLog, decoding a v3 log's
+// per-core streams concurrently. It is strict: any corruption (bad
+// checksum, torn frame, duplicated frame) fails with an error matching
+// ErrCorruptFrame or ErrTruncated. Use ReadLogRobust to salvage what a
+// damaged log still holds.
 func ReadLog(rd io.Reader) (*Log, error) { return replaylog.Decode(rd) }
-
-// ReadLogParallel is ReadLog with v3 per-core streams decoded
-// concurrently; the result is identical, and it is just as strict
-// (any corruption fails with a typed error).
-func ReadLogParallel(rd io.Reader) (*Log, error) {
-	l, rep, err := replaylog.DecodeParallel(rd)
-	if err != nil {
-		return nil, err
-	}
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
 
 // CorruptionReport describes everything the robust decoder had to skip,
 // drop or infer; see internal/replaylog. Clean() reports an intact log.
@@ -442,15 +429,9 @@ var (
 // the next frame marker, and everything skipped, dropped or inferred is
 // itemized in the report. The returned log holds the intact frames
 // only; the error is non-nil solely when nothing decodable remains.
+// A v3 log's per-core streams decode concurrently; the log and report
+// do not depend on how many goroutines ran.
 func ReadLogRobust(rd io.Reader) (*Log, *CorruptionReport, error) {
-	return replaylog.DecodeRobust(rd)
-}
-
-// ReadLogRobustParallel is ReadLogRobust with v3 per-core streams
-// decoded concurrently (one goroutine per core, capped at GOMAXPROCS).
-// The merge is deterministic: the log and report are identical to
-// ReadLogRobust's on the same bytes. v1/v2 logs decode sequentially.
-func ReadLogRobustParallel(rd io.Reader) (*Log, *CorruptionReport, error) {
 	return replaylog.DecodeParallel(rd)
 }
 
@@ -524,31 +505,10 @@ type ReplayTiming = replay.Timing
 // count). An error means nondeterminism — the condition RnR exists to
 // rule out.
 func (r *Recording) Replay() (*ReplayResult, error) {
-	patched, err := r.res.Log.Patch()
+	cfg := replay.DefaultConfig()
+	cfg.Telemetry = r.cfg.Telemetry
+	rep, err := r.res.Replay(cfg, r.w.Progs, r.w.InitMem)
 	if err != nil {
-		return nil, err
-	}
-	cpi := make([]float64, r.cfg.Cores)
-	retired := make([]uint64, r.cfg.Cores)
-	for c, st := range r.res.CoreStats {
-		retired[c] = st.Retired
-		if st.Retired > 0 {
-			cpi[c] = float64(st.Cycles) / float64(st.Retired)
-		} else {
-			cpi[c] = 1
-		}
-	}
-	rcfg := replay.DefaultConfig()
-	rcfg.Telemetry = r.cfg.Telemetry
-	rp, err := replay.New(rcfg, patched, r.w.Progs, r.w.InitMem, cpi)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := rp.Run()
-	if err != nil {
-		return nil, err
-	}
-	if err := replay.Verify(rep, r.res.FinalMemory, r.res.FinalRegs, retired); err != nil {
 		return nil, err
 	}
 	return &ReplayResult{Timing: rep.Timing, Intervals: rep.Intervals, FinalMemory: rep.FinalMemory}, nil
@@ -565,25 +525,7 @@ func ReplayLog(log *Log, w Workload) (*ReplayResult, error) {
 // ReplayLogWith is ReplayLog with telemetry attached: the replayer's
 // counters and trace events land in tel (which may be nil).
 func ReplayLogWith(log *Log, w Workload, tel *Telemetry) (*ReplayResult, error) {
-	patched := log
-	if !log.Patched {
-		var err error
-		patched, err = log.Patch()
-		if err != nil {
-			return nil, err
-		}
-	}
-	cfg := replay.DefaultConfig()
-	cfg.Telemetry = tel
-	rp, err := replay.New(cfg, patched, w.Progs, w.InitMem, nil)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := rp.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &ReplayResult{Timing: rep.Timing, Intervals: rep.Intervals, FinalMemory: rep.FinalMemory}, nil
+	return replayLog(log, w, tel, false)
 }
 
 // ReplayLogPartialWith replays a possibly damaged log with graceful
@@ -594,17 +536,28 @@ func ReplayLogWith(log *Log, w Workload, tel *Telemetry) (*ReplayResult, error) 
 // *StalledError. Use it on the output of ReadLogRobust; the result's
 // final state is authoritative only for undegraded cores.
 func ReplayLogPartialWith(log *Log, w Workload, tel *Telemetry) (*ReplayResult, error) {
+	return replayLog(log, w, tel, true)
+}
+
+// replayLog patches log unless it already is (tolerantly when partial)
+// and replays it with the default CPI, abandoning diverging cores when
+// partial.
+func replayLog(log *Log, w Workload, tel *Telemetry, partial bool) (*ReplayResult, error) {
 	patched := log
 	if !log.Patched {
 		var err error
-		patched, _, err = log.PatchPartial()
+		if partial {
+			patched, _, err = log.PatchPartial()
+		} else {
+			patched, err = log.Patch()
+		}
 		if err != nil {
 			return nil, err
 		}
 	}
 	cfg := replay.DefaultConfig()
 	cfg.Telemetry = tel
-	cfg.AllowPartial = true
+	cfg.AllowPartial = partial
 	rp, err := replay.New(cfg, patched, w.Progs, w.InitMem, nil)
 	if err != nil {
 		return nil, err
@@ -632,15 +585,7 @@ type ParallelReplayEstimate struct {
 // the recorded cross-core dependence edges, and reports the modeled
 // makespan next to sequential replay time.
 func (r *Recording) EstimateParallelReplay() ParallelReplayEstimate {
-	cpi := make([]float64, r.cfg.Cores)
-	for c, st := range r.res.CoreStats {
-		if st.Retired > 0 {
-			cpi[c] = float64(st.Cycles) / float64(st.Retired)
-		} else {
-			cpi[c] = 1
-		}
-	}
-	est := replay.EstimateParallel(replay.DefaultConfig(), r.res.Log, cpi)
+	est := replay.EstimateParallel(replay.DefaultConfig(), r.res.Log, r.res.CPI())
 	return ParallelReplayEstimate{
 		SequentialCycles: est.SequentialCycles,
 		ParallelCycles:   est.ParallelCycles,

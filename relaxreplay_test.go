@@ -195,6 +195,30 @@ func TestKernelRegistryExposed(t *testing.T) {
 	}
 }
 
+// TestWorkloadByName: a kernel name builds the kernel for the asked
+// core count with its oracle; "litmus:<name>" gives the litmus test
+// at its own thread count with no oracle; unknown names of either
+// kind fail.
+func TestWorkloadByName(t *testing.T) {
+	w, check, err := WorkloadByName("lu", 3, 1)
+	if err != nil || len(w.Progs) != 3 || check == nil {
+		t.Fatalf("lu: %d progs, oracle %v, err %v", len(w.Progs), check != nil, err)
+	}
+	sb, err := LitmusByName("sb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, check, err = WorkloadByName("litmus:sb", 8, 3)
+	if err != nil || w.Name != "sb" || len(w.Progs) != len(sb.Progs) || check != nil {
+		t.Fatalf("litmus:sb: %q, %d progs, oracle %v, err %v", w.Name, len(w.Progs), check != nil, err)
+	}
+	for _, bad := range []string{"nope", "litmus:nope", "litmus:"} {
+		if _, _, err := WorkloadByName(bad, 2, 1); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
+	}
+}
+
 func TestParallelReplayEstimate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 4

@@ -2,6 +2,7 @@ package relaxreplay
 
 import (
 	"fmt"
+	"strings"
 
 	"relaxreplay/internal/isa"
 	"relaxreplay/internal/workload"
@@ -93,6 +94,18 @@ func LitmusByName(name string) (LitmusTest, error) {
 		}
 	}
 	return LitmusTest{}, fmt.Errorf("relaxreplay: unknown litmus test %q", name)
+}
+
+// WorkloadByName builds the workload an -app flag names: a bundled
+// kernel, built for cores and scale with its sequential-model oracle,
+// or "litmus:<name>", a litmus test with its own fixed thread count
+// and a nil oracle. Either way len(w.Progs) is the core count to use.
+func WorkloadByName(app string, cores, scale int) (Workload, func(map[uint64]uint64) error, error) {
+	if name, ok := strings.CutPrefix(app, "litmus:"); ok {
+		l, err := LitmusByName(name)
+		return l.Workload, nil, err
+	}
+	return BuildKernel(app, cores, scale)
 }
 
 // ParseProgram assembles a textual program (see internal/isa.Parse for
