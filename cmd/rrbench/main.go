@@ -18,9 +18,9 @@
 // structured divergence reports (see internal/replay.DivergenceReport)
 // as one JSON document next to the matrix. -netchaos additionally runs
 // the streaming chaos grid: real rrd/rrproc client-server pairs over
-// localhost, crossing client backpressure policy x server behaviour x
-// injected net.* transport fault, with the same every-cell-classified
-// demand (see internal/experiments.NetChaosGrid).
+// localhost, crossing server behaviour x injected net.* transport
+// fault, with the same every-cell-classified demand (see
+// internal/experiments.NetChaosGrid).
 //
 // The -fig argument accepts a comma-separated subset of:
 //
@@ -91,7 +91,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress progress on stderr")
 	faults := flag.String("faults", "", "chaos mode: run the fault matrix with this point[,point...]@seed spec")
 	forensics := flag.String("forensics", "", "with -faults: write the chaos matrix's divergence forensics as JSON to this path")
-	netchaos := flag.Bool("netchaos", false, "with -faults: also run the streaming chaos grid (client policy x server behaviour x net.* fault)")
+	netchaos := flag.Bool("netchaos", false, "with -faults: also run the streaming chaos grid (server behaviour x net.* fault)")
 	benchjsonPath := flag.String("benchjson", "", "run the pipeline benchmarks, write BENCH_*.json to this path, and exit")
 	var tf telemetry.Flags
 	tf.Register(nil)

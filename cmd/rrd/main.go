@@ -8,18 +8,21 @@
 //	    -app fft [-cores 8] [-scale 3] [-variant opt|base]   record and stream
 //	    -in fft.rrlog                                        stream an existing v3 log
 //	    [-o local.rrlog]      keep a local copy of the exact streamed bytes
-//	    [-queue-policy block|drop|spill] [-spill-dir DIR]
 //	    [-chunk 65536] [-window 32] [-retries 8]
 //	    [-backoff 50ms] [-backoff-cap 5s] [-heartbeat 2s] [-ack-stall 3s]
 //	    [-faults net.drop@7]  chaos transport on the rrproc connection
 //
 // The agent retries with capped exponential backoff and resumes
-// sessions across reconnects; what it cannot deliver under the chosen
-// backpressure policy it reports rather than hides.
+// sessions across reconnects. When rrproc falls behind, the send
+// window fills and the agent waits for it to drain; nothing is shed.
+// Streaming starts only once the log is complete (the workload is
+// recorded in full, or -in names a finished file), so the wait pauses
+// the encoder or the file copy, never a recording.
 //
 // Exit status: 0 when the journaled session is byte-identical to the
-// local log, 3 when the server committed a degraded session (chunks
-// shed under the drop policy), 1 on errors and rejections.
+// local log, 3 when the server committed a degraded session (chunks it
+// never journaled, counted in the verdict), 1 on errors and
+// rejections.
 package main
 
 import (
@@ -50,8 +53,6 @@ func run() int {
 	variant := flag.String("variant", "opt", "recorder variant: opt or base")
 	in := flag.String("in", "", "stream this existing log file instead of recording")
 	out := flag.String("o", "", "also write the streamed bytes to this local file")
-	policy := flag.String("queue-policy", "block", "backpressure policy when the send window fills: block, drop or spill")
-	spillDir := flag.String("spill-dir", "", "directory for the spill file (queue-policy spill; default: the system temp dir)")
 	chunk := flag.Int("chunk", 0, "chunk size in bytes (0 = default)")
 	window := flag.Int("window", 0, "send window in chunks (0 = default)")
 	retries := flag.Int("retries", 0, "max consecutive retries without ack progress (0 = default)")
@@ -67,14 +68,6 @@ func run() int {
 		return 1
 	}
 
-	pol, err := relaxreplay.ParseBackpressure(*policy)
-	if err != nil {
-		return fail(err)
-	}
-	dir := *spillDir
-	if pol == relaxreplay.BackpressureSpill && dir == "" {
-		dir = os.TempDir()
-	}
 	id := *session
 	if id == 0 {
 		id = uint64(time.Now().UnixNano())
@@ -95,8 +88,6 @@ func run() int {
 		Tenant:         *tenant,
 		ChunkSize:      *chunk,
 		Window:         *window,
-		Policy:         pol,
-		SpillDir:       dir,
 		MaxRetries:     *retries,
 		BackoffBase:    *backoff,
 		BackoffCap:     *backoffCap,
@@ -156,9 +147,6 @@ func run() int {
 	}
 	fmt.Printf("session %d (%s): %d chunks, %d bytes, %d retries\n",
 		id, status, res.Chunks, res.Bytes, res.Retries)
-	if res.Spilled > 0 {
-		fmt.Printf("spilled %d chunks through %s\n", res.Spilled, dir)
-	}
 	if err := tf.Flush(tel); err != nil {
 		return fail(err)
 	}

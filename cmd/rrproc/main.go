@@ -7,7 +7,7 @@
 //
 //	rrproc -journal rr.journal [-listen :7070]
 //	       [-max-sessions 64] [-reorder 64] [-fsync-bytes 1048576]
-//	       [-frame-timeout 10s] [-drain 10s] [-slow 0]     serve (SIGTERM drains)
+//	       [-frame-timeout 10s] [-drain 10s]               serve (SIGTERM drains)
 //	rrproc -journal rr.journal -query                      list recovered sessions
 //	rrproc -journal rr.journal -export ID -o out.rrlog     export one session's log
 //	rrproc -journal rr.journal -verify                     verify committed sessions
@@ -20,9 +20,7 @@
 //
 // -query and -export run the same recovery scan offline, so they work
 // on the journal of a crashed server. An exported session replays
-// like any local log: rrreplay -in out.rrlog.
-//
-// -slow delays each chunk ack (chaos knob for backpressure tests).
+// like any local log: rrreplay -log out.rrlog.
 package main
 
 import (
@@ -50,7 +48,6 @@ func run() int {
 	fsyncBytes := flag.Int("fsync-bytes", 0, "journal bytes between fsync'd segment boundaries (0 = default)")
 	frameTimeout := flag.Duration("frame-timeout", 0, "per-frame read/write deadline (0 = default)")
 	drain := flag.Duration("drain", 0, "graceful shutdown drain budget (0 = default)")
-	slow := flag.Duration("slow", 0, "delay each chunk ack by this long (chaos knob)")
 	query := flag.Bool("query", false, "list the journal's sessions and exit")
 	export := flag.Uint64("export", 0, "export this session id's log bytes to -o and exit")
 	out := flag.String("o", "", "output file for -export")
@@ -77,7 +74,6 @@ func run() int {
 		FrameTimeout:    *frameTimeout,
 		DrainTimeout:    *drain,
 		FsyncEveryBytes: *fsyncBytes,
-		SlowConsumer:    *slow,
 	}, tel.Registry())
 	if err != nil {
 		return fail(err)

@@ -1,12 +1,11 @@
 // Net chaos grid: the streaming analog of ChaosMatrix. Every cell
 // runs a real client/server pair over localhost TCP — a recorder-side
 // session streaming a known payload into an rrproc-style journal —
-// under one combination of client backpressure policy, server
-// behaviour, and injected transport fault. The demand is the same as
-// the file-based matrix: every cell ends classified (identical,
-// degraded-with-report, or rejected), never hung and never silently
-// divergent. A journaled session that claims success must be
-// byte-identical to what the client streamed.
+// under one combination of server behaviour and injected transport
+// fault. The demand is the same as the file-based matrix: every cell
+// ends classified (identical, degraded-with-report, or rejected),
+// never hung and never silently divergent. A journaled session that
+// claims success must be byte-identical to what the client streamed.
 package experiments
 
 import (
@@ -25,16 +24,11 @@ import (
 	"relaxreplay/internal/stats"
 )
 
-// Net chaos grid dimensions.
-var (
-	// NetChaosPolicies are the client backpressure policies under test.
-	NetChaosPolicies = []rrnet.BackpressurePolicy{rrnet.Block, rrnet.Drop, rrnet.Spill}
-	// NetChaosServers are the server behaviours: a healthy server, a
-	// slow consumer (acks delayed so the client window fills), and a
-	// mid-stream restart (graceful-but-forced shutdown, then a new
-	// server recovering the same journal on a new port).
-	NetChaosServers = []string{"steady", "slow", "restart"}
-)
+// NetChaosServers are the server behaviours of the net chaos grid: a
+// healthy server, a slow consumer (acks delayed so the client window
+// fills), and a mid-stream restart (graceful-but-forced shutdown, then
+// a new server recovering the same journal on a new port).
+var NetChaosServers = []string{"steady", "slow", "restart"}
 
 // netChaosFaults is the transport fault axis: no fault plus every
 // registered net.* point.
@@ -55,9 +49,8 @@ const netChaosWatchdog = 30 * time.Second
 // the send window.
 const netChaosPayload = 48 << 10
 
-// NetChaosCell is one (policy, server, fault) cell of the grid.
+// NetChaosCell is one (server, fault) cell of the grid.
 type NetChaosCell struct {
-	Policy  string
 	Server  string
 	Fault   string // net.* point name, or "baseline"
 	Outcome string // one of the Outcome* classes
@@ -83,7 +76,7 @@ func (r *NetChaosResult) Forbidden() []NetChaosCell {
 	return out
 }
 
-// NetChaosGrid runs the full policy x server x fault grid and
+// NetChaosGrid runs the full server x fault grid and
 // classifies each cell. Like ChaosMatrix it returns the assembled
 // grid alongside a non-nil error when any cell lands in a forbidden
 // class.
@@ -91,34 +84,27 @@ func (s *Suite) NetChaosGrid(inj *faultinject.Injector) (*NetChaosResult, error)
 	if inj == nil {
 		return nil, fmt.Errorf("experiments: net chaos needs an enabled fault injector (-faults spec@seed)")
 	}
-	type spec struct {
-		policy rrnet.BackpressurePolicy
-		server string
-		fault  string
-	}
+	type spec struct{ server, fault string }
 	var specs []spec
-	for _, pol := range NetChaosPolicies {
-		for _, srv := range NetChaosServers {
-			for _, f := range netChaosFaults() {
-				specs = append(specs, spec{pol, srv, f})
-			}
+	for _, srv := range NetChaosServers {
+		for _, f := range netChaosFaults() {
+			specs = append(specs, spec{srv, f})
 		}
 	}
 
 	cells, err := parmap(s, len(specs), func(i int) (NetChaosCell, error) {
-		sp := specs[i]
-		return s.netChaosCell(sp.policy, sp.server, sp.fault, inj), nil
+		return s.netChaosCell(specs[i].server, specs[i].fault, inj), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	t := stats.NewTable(
-		fmt.Sprintf("Net chaos grid: %d policies x %d servers x %d faults",
-			len(NetChaosPolicies), len(NetChaosServers), len(netChaosFaults())),
-		"policy", "server", "fault", "outcome", "fired", "retries", "detail")
+		fmt.Sprintf("Net chaos grid: %d servers x %d faults",
+			len(NetChaosServers), len(netChaosFaults())),
+		"server", "fault", "outcome", "fired", "retries", "detail")
 	for _, c := range cells {
-		t.AddRow(c.Policy, c.Server, c.Fault, c.Outcome,
+		t.AddRow(c.Server, c.Fault, c.Outcome,
 			fmt.Sprintf("%d", c.Fired), fmt.Sprintf("%d", c.Retries), c.Detail)
 	}
 	t.SortRows()
@@ -126,7 +112,7 @@ func (s *Suite) NetChaosGrid(inj *faultinject.Injector) (*NetChaosResult, error)
 	if bad := res.Forbidden(); len(bad) > 0 {
 		var names []string
 		for _, c := range bad {
-			names = append(names, fmt.Sprintf("%s/%s/%s=%s", c.Policy, c.Server, c.Fault, c.Outcome))
+			names = append(names, fmt.Sprintf("%s/%s=%s", c.Server, c.Fault, c.Outcome))
 		}
 		return res, fmt.Errorf("experiments: net chaos grid: %d forbidden outcome(s): %s",
 			len(bad), strings.Join(names, ", "))
@@ -137,8 +123,8 @@ func (s *Suite) NetChaosGrid(inj *faultinject.Injector) (*NetChaosResult, error)
 // netChaosCell runs one cell under a watchdog. A hang is a forbidden
 // outcome, not a wedged grid (the stuck goroutine is abandoned — the
 // cell already failed).
-func (s *Suite) netChaosCell(pol rrnet.BackpressurePolicy, server, fault string, inj *faultinject.Injector) NetChaosCell {
-	cell := NetChaosCell{Policy: pol.String(), Server: server, Fault: fault}
+func (s *Suite) netChaosCell(server, fault string, inj *faultinject.Injector) NetChaosCell {
+	cell := NetChaosCell{Server: server, Fault: fault}
 	done := make(chan NetChaosCell, 1)
 	//rrlint:allow goroleak -- watchdog cell: abandoned on timeout by design so one hung cell cannot stall the suite
 	go func() {
@@ -149,7 +135,7 @@ func (s *Suite) netChaosCell(pol rrnet.BackpressurePolicy, server, fault string,
 				done <- cell
 			}
 		}()
-		done <- s.netChaosCellBody(cell, pol, server, fault, inj)
+		done <- s.netChaosCellBody(cell, inj)
 	}()
 	select {
 	case c := <-done:
@@ -163,7 +149,8 @@ func (s *Suite) netChaosCell(pol rrnet.BackpressurePolicy, server, fault string,
 
 // netChaosCellBody classifies one cell. The named return matters: the
 // deferred fault-count fold must land in the value the caller sees.
-func (s *Suite) netChaosCellBody(cell NetChaosCell, pol rrnet.BackpressurePolicy, server, fault string, inj *faultinject.Injector) (out NetChaosCell) {
+func (s *Suite) netChaosCellBody(cell NetChaosCell, inj *faultinject.Injector) (out NetChaosCell) {
+	server, fault := cell.Server, cell.Fault
 	dir, err := os.MkdirTemp("", "rr-netchaos-*")
 	if err != nil {
 		cell.Outcome = OutcomeError
@@ -172,7 +159,7 @@ func (s *Suite) netChaosCellBody(cell NetChaosCell, pol rrnet.BackpressurePolicy
 	}
 	defer os.RemoveAll(dir)
 
-	label := cell.Policy + "/" + cell.Server + "/" + cell.Fault
+	label := cell.Server + "/" + cell.Fault
 	payload := netChaosBytes(label, netChaosPayload)
 
 	// Server side. The restart orchestration retargets addr mid-stream,
@@ -238,8 +225,6 @@ func (s *Suite) netChaosCellBody(cell NetChaosCell, pol rrnet.BackpressurePolicy
 		Tenant:         "chaos",
 		ChunkSize:      1 << 10,
 		Window:         4,
-		Policy:         pol,
-		SpillDir:       dir,
 		MaxRetries:     12,
 		BackoffBase:    2 * time.Millisecond,
 		BackoffCap:     50 * time.Millisecond,
@@ -313,7 +298,7 @@ func (s *Suite) netChaosCellBody(cell NetChaosCell, pol rrnet.BackpressurePolicy
 			return cell
 		}
 		cell.Outcome = OutcomeDegraded
-		cell.Detail = fmt.Sprintf("%d chunks shed and reported", sess.Missing)
+		cell.Detail = fmt.Sprintf("%d chunks missing and reported", sess.Missing)
 	default:
 		cell.Outcome = OutcomeRejected
 		cell.Detail = chaosDetail(res.Reason)

@@ -14,11 +14,12 @@ import (
 	"relaxreplay/internal/telemetry"
 )
 
-// The streaming acceptance gate: the full policy x server x fault
-// grid completes with every cell classified into an allowed outcome —
-// no hangs (the per-cell watchdog converts those into loud failures),
-// no silent divergence between what the client committed and what the
-// journal holds.
+// The streaming acceptance gate: the full server x fault grid
+// completes with every cell classified into an allowed outcome — no
+// hangs (the per-cell watchdog converts those into loud failures), no
+// silent divergence between what the client committed and what the
+// journal holds — and, since the client never sheds a chunk, no cell
+// commits degraded.
 func TestNetChaosGridClassifiesEveryCell(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{Shards: 2})
 	s := chaosSuite(tel)
@@ -33,7 +34,7 @@ func TestNetChaosGridClassifiesEveryCell(t *testing.T) {
 		}
 		t.Fatal(err)
 	}
-	wantCells := len(NetChaosPolicies) * len(NetChaosServers) * (1 + len(faultinject.NetPoints()))
+	wantCells := len(NetChaosServers) * (1 + len(faultinject.NetPoints()))
 	if len(res.Cells) != wantCells {
 		t.Fatalf("cells = %d, want %d", len(res.Cells), wantCells)
 	}
@@ -41,21 +42,29 @@ func TestNetChaosGridClassifiesEveryCell(t *testing.T) {
 	fired := uint64(0)
 	for _, c := range res.Cells {
 		if c.Outcome == "" {
-			t.Fatalf("cell %s/%s/%s has no outcome", c.Policy, c.Server, c.Fault)
+			t.Fatalf("cell %s/%s has no outcome", c.Server, c.Fault)
 		}
 		if ForbiddenOutcome(c.Outcome) {
-			t.Fatalf("forbidden outcome %s at %s/%s/%s: %s",
-				c.Outcome, c.Policy, c.Server, c.Fault, c.Detail)
+			t.Fatalf("forbidden outcome %s at %s/%s: %s",
+				c.Outcome, c.Server, c.Fault, c.Detail)
 		}
 		outcomes[c.Outcome]++
 		fired += c.Fired
 	}
-	// The happy diagonal must hold: every baseline cell on a steady
-	// server commits byte-identical regardless of policy.
 	for _, c := range res.Cells {
-		if c.Server == "steady" && c.Fault == chaosBaseline && c.Outcome != OutcomeIdentical {
-			t.Errorf("steady/baseline/%s = %s (%s), want %s",
-				c.Policy, c.Outcome, c.Detail, OutcomeIdentical)
+		// A full window makes Write wait, so a degraded commit means
+		// the client lost a chunk it was meant to deliver.
+		if c.Outcome == OutcomeDegraded {
+			t.Errorf("%s/%s = %s (%s): the client sheds nothing",
+				c.Server, c.Fault, c.Outcome, c.Detail)
+		}
+		// The happy diagonal: with no transport fault, every server
+		// behaviour — slow and restarting included — commits
+		// byte-identical. Faulted cells may still end rejected: a
+		// reordered preamble is a bad preamble to the server.
+		if c.Fault == chaosBaseline && c.Outcome != OutcomeIdentical {
+			t.Errorf("%s/%s = %s (%s), want %s",
+				c.Server, c.Fault, c.Outcome, c.Detail, OutcomeIdentical)
 		}
 	}
 	if outcomes[OutcomeIdentical] == 0 {

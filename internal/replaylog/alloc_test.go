@@ -23,9 +23,10 @@ const (
 	// encodeV2AllocBudget bounds one v2 encode, which writes through a
 	// pooled buffer and allocates nothing in steady state.
 	encodeV2AllocBudget = 2
-	// decodeAllocBudget bounds one v3 decode, strict (Decode) or
-	// salvaging (DecodeParallel): the decoded log is new memory, one
-	// entry slice per interval.
+	// decodeAllocBudget bounds one strict v3 decode. Decode is the
+	// salvaging DecodeParallel plus rep.Err, so this times both entry
+	// points: the decoded log is new memory, one entry slice per
+	// interval.
 	decodeAllocBudget = 3500
 	// patchAllocBudget bounds one Patch: the log, its stream table,
 	// one scratch count slice, and per stream one interval slice and
@@ -113,20 +114,6 @@ func TestDecodeAllocBudget(t *testing.T) {
 	data := encodedLu(t)
 	checkAllocBudget(t, "decoding", decodeAllocBudget, func() {
 		if _, err := replaylog.Decode(bytes.NewReader(data)); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestDecodeParallelAllocBudget(t *testing.T) {
-	skipAllocBudget(t)
-	data := encodedLu(t)
-	checkAllocBudget(t, "parallel-decoding", decodeAllocBudget, func() {
-		_, rep, err := replaylog.DecodeParallel(bytes.NewReader(data))
-		if err == nil {
-			err = rep.Err()
-		}
-		if err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -24,9 +23,8 @@ type Client struct {
 	// WrapFaultConn, or return one end of net.Pipe).
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 
-	mChunks, mBytes, mRetries, mReconnects *telemetry.Counter
-	mDropped, mSpilled, mHeartbeats        *telemetry.Counter
-	gInflight                              *telemetry.Gauge
+	mChunks, mBytes, mRetries, mReconnects, mHeartbeats *telemetry.Counter
+	gInflight                                           *telemetry.Gauge
 }
 
 // NewClient validates opts and builds a client. reg may be nil
@@ -45,8 +43,6 @@ func NewClient(opts ClientOptions, reg *telemetry.Registry) (*Client, error) {
 		mBytes:      reg.Counter("rrnet.client.bytes"),
 		mRetries:    reg.Counter("rrnet.client.retries"),
 		mReconnects: reg.Counter("rrnet.client.reconnects"),
-		mDropped:    reg.Counter("rrnet.client.chunks-dropped"),
-		mSpilled:    reg.Counter("rrnet.client.chunks-spilled"),
 		mHeartbeats: reg.Counter("rrnet.client.heartbeats"),
 		gInflight:   reg.Gauge("rrnet.client.inflight"),
 	}, nil
@@ -69,22 +65,15 @@ type SessionResult struct {
 	Status  uint8 // StatusOK, StatusDegraded or StatusReject
 	Chunks  uint64
 	Bytes   uint64
-	Dropped uint64 // chunks shed by the Drop policy (tombstoned)
-	Spilled uint64 // chunks that transited the spill file
 	Retries int    // reconnect attempts over the session's lifetime
-	Missing uint64 // chunks the server never received (== Dropped when healthy)
+	Missing uint64 // chunks the server never received
 	Reason  string // server-side note on non-OK status
 }
 
-// entry is one sealed chunk awaiting cumulative ack. Exactly one of
-// {data, tomb, spilled} describes the payload's location.
+// entry is one sealed chunk awaiting durable ack.
 type entry struct {
-	seq      uint64
-	data     []byte // in-memory payload (nil when tomb or spilled)
-	tomb     bool   // payload shed by the Drop policy: sent as 0 bytes
-	spilled  bool   // payload lives in the spill file
-	spillOff int64
-	spillLen int
+	seq  uint64
+	data []byte
 }
 
 // SessionWriter streams one recording session to rrproc. It is an
@@ -103,19 +92,12 @@ type SessionWriter struct {
 	durable uint64  // server's fsync'd prefix; monotonic, gates freeing
 	sentTo  uint64  // next seq to (re)send on the current connection
 
-	logLen uint64 // total bytes produced (including shed payloads)
+	logLen uint64 // total bytes produced
 	logCRC uint32 // CRC32C over every byte produced
-
-	dropped  []uint64 // seqs shed by Drop (first MaxDroppedReport kept)
-	nDropped uint64
-	nSpilled uint64
-
-	spill *os.File
 
 	conn       *clientConn
 	attempts   int // consecutive failures since last ack progress
 	retries    int
-	nextDial   time.Time // earliest next tryReconnect dial (backoff without sleeping)
 	lastSend   time.Time
 	flushReqAt uint64 // contig level a durability nudge was last sent at
 
@@ -131,13 +113,6 @@ func (c *Client) OpenSession(id uint64) (*SessionWriter, error) {
 	sw := &SessionWriter{c: c, opts: c.opts, id: id, prng: c.opts.Seed}
 	if sw.prng == 0 {
 		sw.prng = id | 1
-	}
-	if c.opts.Policy == Spill {
-		f, err := os.CreateTemp(c.opts.SpillDir, fmt.Sprintf("rrd-spill-%d-*.tmp", id))
-		if err != nil {
-			return nil, fmt.Errorf("rrnet: creating spill file: %w", err)
-		}
-		sw.spill = f
 	}
 	if err := sw.ensureConn(); err != nil {
 		sw.cleanup()
@@ -304,19 +279,6 @@ func (sw *SessionWriter) dropConn() {
 	}
 }
 
-// inflight counts entries holding in-memory payloads — the quantity
-// the Window bounds. Tombstones and spilled entries are (nearly) free
-// and exempt.
-func (sw *SessionWriter) inflight() int {
-	n := 0
-	for i := range sw.entries {
-		if sw.entries[i].data != nil {
-			n++
-		}
-	}
-	return n
-}
-
 func (sw *SessionWriter) gauge() { sw.c.gInflight.Set(0, uint64(len(sw.entries))) }
 
 // Write accumulates log bytes, sealing and shipping a chunk whenever
@@ -343,8 +305,8 @@ func (sw *SessionWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// seal turns data into the next chunk, applies backpressure policy,
-// and pushes the wire forward.
+// seal turns data into the next chunk, waits for room in the window
+// when it is full, and pushes the wire forward.
 func (sw *SessionWriter) seal(data []byte) error {
 	seq := sw.nextSeq
 	sw.nextSeq++
@@ -353,112 +315,35 @@ func (sw *SessionWriter) seal(data []byte) error {
 	sw.c.mChunks.Inc(0)
 	sw.c.mBytes.Add(0, uint64(len(data)))
 
-	e := entry{seq: seq, data: data}
-	if sw.inflight() >= sw.opts.Window {
-		switch sw.opts.Policy {
-		case Block:
-			if err := sw.waitForRoom(); err != nil {
-				return err
-			}
-		case Drop:
-			sw.awaitRoomBriefly()
-			if sw.inflight() >= sw.opts.Window {
-				e.data, e.tomb = nil, true
-				sw.nDropped++
-				if len(sw.dropped) < MaxDroppedReport {
-					sw.dropped = append(sw.dropped, seq)
-				}
-				sw.c.mDropped.Inc(0)
-			}
-		case Spill:
-			off, err := sw.spillOut(data)
-			if err != nil {
-				return err
-			}
-			e.data, e.spilled, e.spillOff, e.spillLen = nil, true, off, len(data)
-			sw.nSpilled++
-			sw.c.mSpilled.Inc(0)
+	if len(sw.entries) >= sw.opts.Window {
+		if err := sw.waitForRoom(); err != nil {
+			return err
 		}
 	}
-	sw.entries = append(sw.entries, e)
+	sw.entries = append(sw.entries, entry{seq: seq, data: data})
 	sw.gauge()
 	sw.pump()
 	return nil
 }
 
-func (sw *SessionWriter) spillOut(data []byte) (int64, error) {
-	off, err := sw.spill.Seek(0, 2)
-	if err != nil {
-		return 0, fmt.Errorf("rrnet: spill seek: %w", err)
-	}
-	if _, err := sw.spill.Write(data); err != nil {
-		return 0, fmt.Errorf("rrnet: spill write: %w", err)
-	}
-	return off, nil
-}
-
 // pump makes best-effort forward progress without blocking the
 // producer: drain any acks that arrived, then send every unsent entry
 // if the connection is live. Send failures are not retried here —
-// the entry stays pending and resume-after-reconnect re-delivers it.
-// A dead connection gets one rate-limited reconnect attempt under the
-// Drop and Spill policies, whose Writes never reach the blocking
-// reconnect loop in waitDrain: without it, one transient reset would
-// shed or spill every subsequent chunk until Close even after rrproc
-// recovered.
+// the entry stays pending, and waitDrain's reconnect re-delivers it.
 func (sw *SessionWriter) pump() {
 	sw.drainAcks()
-	if sw.conn == nil || sw.conn.isDead() {
-		if sw.opts.Policy == Block {
-			return // waitForRoom owns Block's (sleeping) reconnects
-		}
-		sw.tryReconnect()
-		if sw.conn == nil || sw.conn.isDead() {
-			return
-		}
-	}
-	sw.sendReady()
-}
-
-// tryReconnect makes at most one dial attempt, rate-limited by the
-// same capped backoff schedule ensureConn sleeps through — but it
-// never sleeps, so a producer under Drop or Spill pays one dial (fast
-// when the host is down: connection refused) per backoff period
-// instead of a stalled Write. Counts against the shared retry budget;
-// once that is exhausted only Close's ensureConn can surface the
-// terminal error.
-func (sw *SessionWriter) tryReconnect() {
 	if sw.conn != nil && !sw.conn.isDead() {
-		return
+		sw.sendReady()
 	}
-	if sw.attempts > sw.opts.MaxRetries || time.Now().Before(sw.nextDial) {
-		return
-	}
-	if sw.conn != nil {
-		sw.dropConn()
-		sw.c.mReconnects.Inc(0)
-	}
-	if sw.attempts > 0 {
-		sw.c.mRetries.Inc(0)
-		sw.retries++
-	}
-	sw.attempts++
-	if err := sw.connectOnce(); err != nil {
-		if errors.Is(err, ErrRejected) {
-			sw.failed = err // hard refusal: retrying cannot help
-			return
-		}
-		sw.nextDial = time.Now().Add(sw.backoff(sw.attempts - 1))
-		return
-	}
-	sw.nextDial = time.Time{}
 }
 
 // sendReady ships entries from sentTo onward on the current
-// connection, in seq order, capped to a sliding window of Window
-// chunks past the cumulative ack — so a spilled or tombstoned backlog
-// drains at the consumer's pace instead of flooding its socket until
-// the write deadline declares the connection dead.
+// connection, in seq order, capped to Window chunks past the
+// cumulative ack. The writer never buffers more than Window entries,
+// so the cap binds only after a resume against a server whose contig
+// rewound below the durable prefix: the writer then runs no further
+// ahead of what the server needs than one window, instead of flooding
+// its reorder buffer.
 func (sw *SessionWriter) sendReady() {
 	for i := range sw.entries {
 		e := &sw.entries[i]
@@ -468,33 +353,12 @@ func (sw *SessionWriter) sendReady() {
 		if e.seq >= sw.contig+uint64(sw.opts.Window) {
 			return
 		}
-		payload, err := sw.payloadOf(e)
-		if err != nil {
-			sw.failed = err
-			return
-		}
-		if err := sw.conn.writeMsg(MsgChunk, encodeChunk(chunkMsg{Session: sw.id, Seq: e.seq, Data: payload}), sw.opts.FrameTimeout); err != nil {
+		if err := sw.conn.writeMsg(MsgChunk, encodeChunk(chunkMsg{Session: sw.id, Seq: e.seq, Data: e.data}), sw.opts.FrameTimeout); err != nil {
 			return // conn marked dead; reconnect path re-delivers
 		}
 		sw.lastSend = time.Now()
 		sw.sentTo = e.seq + 1
 	}
-}
-
-// payloadOf materializes an entry's bytes (reading back from the
-// spill file when needed).
-func (sw *SessionWriter) payloadOf(e *entry) ([]byte, error) {
-	if e.tomb {
-		return nil, nil
-	}
-	if e.spilled {
-		buf := make([]byte, e.spillLen)
-		if _, err := sw.spill.ReadAt(buf, e.spillOff); err != nil {
-			return nil, fmt.Errorf("rrnet: spill read-back: %w", err)
-		}
-		return buf, nil
-	}
-	return e.data, nil
 }
 
 // drainAcks folds the reader goroutine's progress into the writer's
@@ -506,30 +370,6 @@ func (sw *SessionWriter) drainAcks() {
 	contig, durable := sw.conn.acksNow()
 	if sw.adoptAcks(contig, durable) {
 		sw.attempts = 0
-	}
-}
-
-// awaitRoomBriefly gives the transport DropGrace to make ack progress
-// before the Drop policy sheds: a bounded producer pause, never a
-// sleeping reconnect loop. A dead connection gets the one rate-limited
-// tryReconnect dial; if that does not revive it the chunk sheds
-// immediately — it could not have been delivered anyway.
-func (sw *SessionWriter) awaitRoomBriefly() {
-	deadline := time.Now().Add(sw.opts.DropGrace)
-	for {
-		sw.drainAcks()
-		if sw.inflight() < sw.opts.Window {
-			return
-		}
-		if sw.conn == nil || sw.conn.isDead() {
-			sw.tryReconnect()
-		}
-		if sw.conn == nil || sw.conn.isDead() || !time.Now().Before(deadline) {
-			return
-		}
-		sw.sendReady()
-		sw.nudgeDurability()
-		sw.conn.await(min(sw.opts.DropGrace/4, 5*time.Millisecond))
 	}
 }
 
@@ -553,10 +393,10 @@ func (sw *SessionWriter) nudgeDurability() {
 }
 
 // waitForRoom blocks until the window has room, reconnecting on
-// failure or ack stall. This is the Block policy's slow path and the
-// drain loop Close reuses (with room semantics replaced by empty).
+// failure or ack stall. This is Write's slow path and the drain loop
+// Close reuses (with room semantics replaced by empty).
 func (sw *SessionWriter) waitForRoom() error {
-	return sw.waitDrain(func() bool { return sw.inflight() < sw.opts.Window })
+	return sw.waitDrain(func() bool { return len(sw.entries) < sw.opts.Window })
 }
 
 func (sw *SessionWriter) waitDrain(done func() bool) error {
@@ -570,9 +410,6 @@ func (sw *SessionWriter) waitDrain(done func() bool) error {
 			return err
 		}
 		sw.sendReady()
-		if sw.failed != nil {
-			return sw.failed
-		}
 		if sw.conn.isDead() {
 			continue
 		}
@@ -647,8 +484,7 @@ func (sw *SessionWriter) Close() error {
 	// against ours and classifies the session; re-sending the commit
 	// after a reconnect is idempotent (a committed session replies
 	// with its stored verdict).
-	commit := commitMsg{Session: sw.id, Chunks: sw.nextSeq, LogLen: sw.logLen,
-		LogCRC: sw.logCRC, Dropped: sw.dropped, NDrop: sw.nDropped}
+	commit := commitMsg{Session: sw.id, Chunks: sw.nextSeq, LogLen: sw.logLen, LogCRC: sw.logCRC}
 	for {
 		if err := sw.waitDrain(func() bool { return sw.contig >= sw.nextSeq }); err != nil {
 			sw.failed = err
@@ -672,8 +508,7 @@ func (sw *SessionWriter) Close() error {
 		}
 		sw.res = SessionResult{
 			Status: ack.Status, Chunks: sw.nextSeq, Bytes: sw.logLen,
-			Dropped: sw.nDropped, Spilled: sw.nSpilled, Retries: sw.retries,
-			Missing: ack.Missing, Reason: ack.Reason,
+			Retries: sw.retries, Missing: ack.Missing, Reason: ack.Reason,
 		}
 		if ack.Status == StatusReject {
 			sw.failed = fmt.Errorf("%w: %s", ErrRejected, ack.Reason)
@@ -706,12 +541,6 @@ func (sw *SessionWriter) Result() SessionResult { return sw.res }
 
 func (sw *SessionWriter) cleanup() {
 	sw.dropConn()
-	if sw.spill != nil {
-		name := sw.spill.Name()
-		_ = sw.spill.Close() // spill read-back is over; nothing depends on the close
-		_ = os.Remove(name)
-		sw.spill = nil
-	}
 	sw.entries = nil
 	sw.gauge()
 }

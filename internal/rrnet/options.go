@@ -6,50 +6,6 @@ import (
 	"time"
 )
 
-// BackpressurePolicy selects what a SessionWriter does when its
-// bounded in-flight window is full and the connection cannot drain it
-// fast enough (a slow or dead rrproc).
-type BackpressurePolicy int
-
-const (
-	// Block stalls the producer until the window drains. Recording
-	// slows but no data is lost; this is the default.
-	Block BackpressurePolicy = iota
-	// Drop sheds the oldest unsent chunk and records a degradation:
-	// the dropped seq is reported in the commit, so the server journals
-	// the session as degraded-with-report, never silently short.
-	Drop
-	// Spill diverts chunks to a local spill file and replays them once
-	// the window drains. Order is preserved: once spilling starts, all
-	// new chunks spill until the backlog is empty.
-	Spill
-)
-
-func (p BackpressurePolicy) String() string {
-	switch p {
-	case Block:
-		return "block"
-	case Drop:
-		return "drop"
-	case Spill:
-		return "spill"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
-// ParseBackpressure parses a policy name as accepted by rrd -queue-policy.
-func ParseBackpressure(s string) (BackpressurePolicy, error) {
-	switch s {
-	case "block":
-		return Block, nil
-	case "drop":
-		return Drop, nil
-	case "spill":
-		return Spill, nil
-	}
-	return 0, fmt.Errorf("rrnet: unknown backpressure policy %q (want block, drop or spill)", s)
-}
-
 // ClientOptions configures a Client (the rrd side).
 type ClientOptions struct {
 	// Addr is the rrproc address (host:port).
@@ -60,13 +16,9 @@ type ClientOptions struct {
 	// ChunkSize is the target bytes per wire chunk.
 	ChunkSize int
 	// Window bounds the in-flight ring: chunks buffered but not yet
-	// cumulatively acked. When full, Policy applies.
+	// durably acked. When it is full, Write waits for the window to
+	// drain; nothing is ever shed.
 	Window int
-	// Policy is the slow-consumer backpressure policy.
-	Policy BackpressurePolicy
-	// SpillDir is where Spill policy writes its overflow file
-	// (required iff Policy == Spill).
-	SpillDir string
 
 	// MaxRetries caps reconnect attempts per failure burst (attempts
 	// reset after any successful ack progress). 0 means DefaultMaxRetries.
@@ -86,11 +38,6 @@ type ClientOptions struct {
 	// this long while chunks are in flight — the recovery path for
 	// frames silently lost in transit.
 	AckStall time.Duration
-	// DropGrace is how long the Drop policy lets the producer pause
-	// for ack progress before shedding a chunk: a burst of writes on a
-	// healthy transport drains instead of shedding, while a genuinely
-	// stalled consumer still costs at most DropGrace per chunk.
-	DropGrace time.Duration
 
 	// Seed drives the deterministic jitter PRNG. Zero seeds from the
 	// session ID so tests replay byte-identically.
@@ -108,7 +55,6 @@ const (
 	DefaultFrameTimeout   = 10 * time.Second
 	DefaultHeartbeatEvery = 2 * time.Second
 	DefaultAckStall       = 3 * time.Second
-	DefaultDropGrace      = 20 * time.Millisecond
 )
 
 // ErrBadOptions tags every options-validation failure.
@@ -144,9 +90,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.AckStall == 0 {
 		o.AckStall = DefaultAckStall
 	}
-	if o.DropGrace == 0 {
-		o.DropGrace = DefaultDropGrace
-	}
 	return o
 }
 
@@ -174,14 +117,8 @@ func (o ClientOptions) Validate() error {
 	if o.BackoffCap < o.BackoffBase {
 		return fmt.Errorf("%w: BackoffCap %v below BackoffBase %v", ErrBadOptions, o.BackoffCap, o.BackoffBase)
 	}
-	if o.DialTimeout < 0 || o.FrameTimeout < 0 || o.HeartbeatEvery < 0 || o.AckStall < 0 || o.DropGrace < 0 {
+	if o.DialTimeout < 0 || o.FrameTimeout < 0 || o.HeartbeatEvery < 0 || o.AckStall < 0 {
 		return fmt.Errorf("%w: negative timeout", ErrBadOptions)
-	}
-	if o.Policy < Block || o.Policy > Spill {
-		return fmt.Errorf("%w: unknown backpressure policy %d", ErrBadOptions, int(o.Policy))
-	}
-	if o.Policy == Spill && o.SpillDir == "" {
-		return fmt.Errorf("%w: Spill policy needs SpillDir", ErrBadOptions)
 	}
 	return nil
 }

@@ -9,9 +9,9 @@
 // (internal/frame), so a damaged stream is resynchronized, never
 // trusted; the client retries with capped
 // exponential backoff plus deterministic jitter and resumes a session
-// after reconnect from the server's cumulative ack; the send queue is
-// bounded with an explicit slow-consumer policy (block, drop with a
-// degradation record, or spill to disk); the server deduplicates
+// after reconnect from the server's cumulative ack; the send window is
+// bounded, and a full window makes Write wait, so nothing is ever shed
+// or spilled; the server deduplicates
 // re-delivered chunks so retry is idempotent; and the journal fsyncs
 // at segment boundaries and recovers after a crash with the same
 // salvage-by-resync discipline as replaylog.DecodeParallel. See
@@ -282,6 +282,9 @@ type commitMsg struct {
 	Chunks  uint64 // chunks the client produced (including dropped)
 	LogLen  uint64 // total log bytes produced
 	LogCRC  uint32 // CRC32C over the full produced log bytes
+	// Dropped and NDrop report chunks the client shed. Client never
+	// sheds and always sends them empty; the server still reads them
+	// and classifies a session that reports any as degraded.
 	Dropped []uint64
 	NDrop   uint64 // true dropped count (may exceed len(Dropped))
 }

@@ -108,12 +108,6 @@ func TestOptionsValidate(t *testing.T) {
 		"negative backoff": func(o *ClientOptions) { o.BackoffBase = -time.Second },
 		"cap below base":   func(o *ClientOptions) { o.BackoffBase = time.Second; o.BackoffCap = time.Millisecond },
 		"negative timeout": func(o *ClientOptions) { o.FrameTimeout = -1 },
-		"negative grace":   func(o *ClientOptions) { o.DropGrace = -time.Millisecond },
-		"bogus policy":     func(o *ClientOptions) { o.Policy = BackpressurePolicy(9) },
-		"spill without dir": func(o *ClientOptions) {
-			o.Policy = Spill
-			o.SpillDir = ""
-		},
 	}
 	for name, mutate := range clientCases {
 		o := base
@@ -141,18 +135,6 @@ func TestOptionsValidate(t *testing.T) {
 		if err := o.Validate(); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("server %s: want ErrBadOptions, got %v", name, err)
 		}
-	}
-}
-
-func TestParseBackpressure(t *testing.T) {
-	for _, want := range []BackpressurePolicy{Block, Drop, Spill} {
-		got, err := ParseBackpressure(want.String())
-		if err != nil || got != want {
-			t.Errorf("round-trip %v: got %v, %v", want, got, err)
-		}
-	}
-	if _, err := ParseBackpressure("shed"); err == nil {
-		t.Error("unknown policy accepted")
 	}
 }
 
@@ -406,108 +388,91 @@ func TestSilentDropRecovered(t *testing.T) {
 	}
 }
 
-// TestDropPolicyDegrades pairs a deliberately slow consumer with the
-// Drop policy: the client sheds chunks, reports them, and the server
-// classifies the session degraded-with-report — never silently short.
-func TestDropPolicyDegrades(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "j.rrjl")
-	sopts := fastServer(jpath)
-	sopts.SlowConsumer = 30 * time.Millisecond
-	s, addr := startServer(t, sopts)
+// TestServerClassifiesDegradedCommit drives the server's commit
+// verdict over the raw wire. The client never sheds a chunk, but the
+// server must still journal a session with chunks it never received
+// as degraded-with-report: one whose commit reports shed chunks, and
+// one that declares more chunks than arrived.
+func TestServerClassifiesDegradedCommit(t *testing.T) {
+	chunk := []byte("the one chunk that arrived")
+	three := bytes.Repeat(chunk, 3)
+	cases := []struct {
+		name   string
+		commit commitMsg
+	}{
+		{"shed by client", commitMsg{Chunks: 1, LogLen: uint64(len(chunk)),
+			LogCRC: crc32.Checksum(chunk, frame.Castagnoli), NDrop: 2}},
+		{"never arrived", commitMsg{Chunks: 3, LogLen: uint64(len(three)),
+			LogCRC: crc32.Checksum(three, frame.Castagnoli)}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			jpath := filepath.Join(t.TempDir(), "j.rrjl")
+			s, addr := startServer(t, fastServer(jpath))
+			defer shutdownQuiet(s)
+			id := uint64(700 + i)
 
-	copts := fastClient(addr)
-	copts.Policy = Drop
-	copts.Window = 2
-	c, err := NewClient(copts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := c.OpenSession(500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := testPayload(16<<10, 5)
-	streamAll(t, sw, payload)
-	if err := sw.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	res := sw.Result()
-	if res.Dropped == 0 {
-		t.Skip("consumer fast enough that nothing was shed; nothing to assert")
-	}
-	if res.Status != StatusDegraded {
-		t.Fatalf("status = %d (%s), want degraded with %d drops", res.Status, res.Reason, res.Dropped)
-	}
-	if res.Missing != res.Dropped {
-		t.Errorf("Missing = %d, want %d (every shed chunk reported)", res.Missing, res.Dropped)
-	}
-	if err := s.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	v, err := ReadJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := v.Sessions[500]
-	if sess.Status != StatusDegraded {
-		t.Errorf("journal status = %d, want degraded", sess.Status)
-	}
-	if err := sess.Verify(); err == nil {
-		t.Error("Verify must refuse a degraded session")
-	}
-}
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeConn(nc)
+			if err := nc.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			fr := frame.NewReader(nc, MaxWirePayload, 1<<20)
+			send := func(mt MsgType, payload []byte) {
+				t.Helper()
+				if err := writeFrame(nc, mt, payload); err != nil {
+					t.Fatalf("write %s: %v", mt, err)
+				}
+			}
+			recv := func(want MsgType) []byte {
+				t.Helper()
+				tp, payload, err := fr.Next()
+				if err != nil || MsgType(tp) != want {
+					t.Fatalf("read: got %s (%v), want %s", MsgType(tp), err, want)
+				}
+				return payload
+			}
 
-// TestSpillPolicyStaysIdentical pairs the slow consumer with Spill:
-// nothing is shed, the overflow transits the spill file, and the
-// session still commits identical.
-func TestSpillPolicyStaysIdentical(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "j.rrjl")
-	sopts := fastServer(jpath)
-	sopts.SlowConsumer = 10 * time.Millisecond
-	s, addr := startServer(t, sopts)
+			if err := writePreamble(nc); err != nil {
+				t.Fatal(err)
+			}
+			send(MsgHello, encodeHello(helloMsg{Proto: ProtoVersion, Session: id, Tenant: "raw"}))
+			if ack, ok := decodeHelloAck(recv(MsgHelloAck)); !ok || ack.Status != StatusOK {
+				t.Fatalf("hello-ack = %+v, %v", ack, ok)
+			}
+			send(MsgChunk, encodeChunk(chunkMsg{Session: id, Seq: 0, Data: chunk}))
+			if ack, ok := decodeAck(recv(MsgAck)); !ok || ack.Contig != 1 {
+				t.Fatalf("chunk ack = %+v, %v", ack, ok)
+			}
+			commit := tc.commit
+			commit.Session = id
+			send(MsgCommit, encodeCommit(commit))
+			ack, ok := decodeCommitAck(recv(MsgCommitAck))
+			if !ok || ack.Status != StatusDegraded || ack.Missing != 2 {
+				t.Fatalf("commit-ack = %+v, %v; want degraded with 2 missing", ack, ok)
+			}
 
-	copts := fastClient(addr)
-	copts.Policy = Spill
-	copts.SpillDir = dir
-	copts.Window = 2
-	c, err := NewClient(copts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := c.OpenSession(600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := testPayload(12<<10, 6)
-	streamAll(t, sw, payload)
-	if err := sw.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	res := sw.Result()
-	if res.Status != StatusOK {
-		t.Fatalf("status = %d (%s), want OK", res.Status, res.Reason)
-	}
-	if res.Spilled == 0 {
-		t.Error("expected some chunks to transit the spill file")
-	}
-	if err := s.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	v, err := ReadJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v.Sessions[600].Data, payload) {
-		t.Fatal("spilled session bytes differ")
-	}
-	// The spill temp file must be gone.
-	matches, err := filepath.Glob(filepath.Join(dir, "rrd-spill-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 0 {
-		t.Errorf("spill files left behind: %v", matches)
+			// Close the raw connection first, or Shutdown's drain waits
+			// out DrainTimeout for it.
+			closeConn(nc)
+			if err := s.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			v, err := ReadJournal(jpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := v.Sessions[id]
+			if sess == nil || !sess.Committed || sess.Status != StatusDegraded || sess.Missing != 2 {
+				t.Fatalf("journal session = %+v; want committed, degraded, 2 missing", sess)
+			}
+			if err := sess.Verify(); err == nil {
+				t.Error("Verify must refuse a degraded session")
+			}
+		})
 	}
 }
 
@@ -744,61 +709,6 @@ func TestTenantMismatchRejected(t *testing.T) {
 	}
 	if res := sw.Result(); res.Status != StatusOK {
 		t.Fatalf("status = %d (%s), want OK", res.Status, res.Reason)
-	}
-}
-
-// TestDropPolicyReconnectsAfterReset: a transient connection reset
-// under the Drop policy must not tombstone the rest of the session —
-// the seal/pump path owes the transport one (rate-limited, never
-// sleeping) reconnect attempt before shedding. With a healthy server
-// one cut therefore still lands an identical session.
-func TestDropPolicyReconnectsAfterReset(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "j.rrjl")
-	s, addr := startServer(t, fastServer(jpath))
-
-	copts := fastClient(addr)
-	copts.Policy = Drop
-	c, err := NewClient(copts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cur atomic.Pointer[net.Conn]
-	base := c.Dial
-	c.Dial = func(a string, d time.Duration) (net.Conn, error) {
-		nc, err := base(a, d)
-		if err == nil {
-			cur.Store(&nc)
-		}
-		return nc, err
-	}
-	sw, err := c.OpenSession(43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := testPayload(32<<10, 43)
-	half := len(payload) / 2
-	streamAll(t, sw, payload[:half])
-	if ncp := cur.Load(); ncp != nil {
-		closeConn(*ncp) // transient reset mid-session
-	}
-	streamAll(t, sw, payload[half:])
-	if err := sw.Close(); err != nil {
-		t.Fatalf("Close after reset: %v", err)
-	}
-	res := sw.Result()
-	if res.Status != StatusOK || res.Dropped != 0 {
-		t.Fatalf("status = %d, dropped = %d (%s); want OK with nothing shed after one reset",
-			res.Status, res.Dropped, res.Reason)
-	}
-	if err := s.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	v, err := ReadJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v.Sessions[43].Data, payload) {
-		t.Fatal("session bytes differ after reset recovery")
 	}
 }
 

@@ -64,7 +64,7 @@ type serverSession struct {
 	contig  uint64            // next seq needed
 	crc     uint32            // rolling CRC32C over in-order payloads
 	bytes   uint64            // in-order payload bytes received
-	gaps    uint64            // tombstone (0-byte) chunks seen
+	gaps    uint64            // zero-length chunks seen: tombstones a shedding client sent
 	pending map[uint64][]byte // bounded out-of-order buffer
 
 	committed bool
@@ -529,9 +529,12 @@ func storeMax(a *atomic.Uint64, v uint64) {
 //   - identical: no shed chunks, every chunk present, byte count and
 //     rolling CRC match the client's — the journaled bytes are the
 //     client's WriteLog output, bit for bit.
-//   - degraded-with-report: the client shed chunks under Drop policy
-//     (tombstones leave gaps), or chunks never arrived; the gap count
-//     travels in the verdict.
+//   - degraded-with-report: the client reported shed chunks (NDrop,
+//     with zero-length tombstones in their place), or chunks never
+//     arrived; the gap count travels in the verdict. Client sheds
+//     nothing, so from it this means chunks lost on the way (say,
+//     with the journal); the verdict still classifies any client
+//     that does shed.
 //   - rejected: everything arrived but the bytes disagree with the
 //     client's CRC — corruption survived the per-frame checks, so the
 //     session must not be trusted.

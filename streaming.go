@@ -22,7 +22,7 @@ import (
 type StreamClient = rrnet.Client
 
 // StreamClientOptions configures a StreamClient (address, chunking,
-// retry budget, backpressure policy).
+// send window, retry budget).
 type StreamClientOptions = rrnet.ClientOptions
 
 // StreamSession is one in-flight session: an io.WriteCloser that is
@@ -39,29 +39,12 @@ type StreamServer = rrnet.Server
 // journal path, session and reorder bounds, fsync cadence).
 type StreamServerOptions = rrnet.ServerOptions
 
-// BackpressurePolicy picks what a session does when the send window
-// is full: block the recorder, drop chunks (degraded commit), or
-// spill them to disk.
-type BackpressurePolicy = rrnet.BackpressurePolicy
-
-// Backpressure policies.
-const (
-	BackpressureBlock = rrnet.Block
-	BackpressureDrop  = rrnet.Drop
-	BackpressureSpill = rrnet.Spill
-)
-
 // Session commit statuses (StreamResult.Status and journal verdicts).
 const (
 	StreamStatusOK       = rrnet.StatusOK
 	StreamStatusDegraded = rrnet.StatusDegraded
 	StreamStatusReject   = rrnet.StatusReject
 )
-
-// ParseBackpressure parses "block", "drop" or "spill".
-func ParseBackpressure(s string) (BackpressurePolicy, error) {
-	return rrnet.ParseBackpressure(s)
-}
 
 // NewStreamClient validates opts and builds a client. reg may be nil.
 func NewStreamClient(opts StreamClientOptions, reg *telemetry.Registry) (*StreamClient, error) {
