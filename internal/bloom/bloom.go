@@ -82,8 +82,6 @@ func NewDefault(seed uint64) *Signature {
 }
 
 // Insert adds a line address to the signature.
-//
-//rrlint:hotpath
 func (s *Signature) Insert(line uint64) {
 	for a := range s.fns {
 		b := s.fns[a].hash(line, s.nbits)
@@ -94,8 +92,6 @@ func (s *Signature) Insert(line uint64) {
 
 // MayContain reports whether line may have been inserted. False
 // positives are possible; false negatives are not.
-//
-//rrlint:hotpath
 func (s *Signature) MayContain(line uint64) bool {
 	for a := range s.fns {
 		b := s.fns[a].hash(line, s.nbits)

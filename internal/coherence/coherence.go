@@ -403,8 +403,6 @@ func (s *System) Busy() bool {
 // Tick advances the memory system one cycle. The caller then drains
 // DrainPerforms (same-cycle perform events, for the recorder) and
 // DrainCompletions (pipeline notifications).
-//
-//rrlint:hotpath
 func (s *System) Tick() {
 	s.cycle++
 	for _, d := range s.ring.Tick() {
@@ -417,7 +415,7 @@ func (s *System) Tick() {
 			ev.fn = nil // release the closure before recycling
 		} else {
 			// Tagged completion event (see complete).
-			s.completions = append(s.completions, Completion{Core: ev.core, ID: ev.id, Value: ev.value, Cycle: s.cycle}) //rrlint:allow hotpath-alloc (amortized append into reused buffer)
+			s.completions = append(s.completions, Completion{Core: ev.core, ID: ev.id, Value: ev.value, Cycle: s.cycle})
 		}
 		s.freeEvents = append(s.freeEvents, ev)
 	}
@@ -468,8 +466,6 @@ func (s *System) at(delay uint64, fn func()) {
 
 // takeEvent returns a reset event box with a fresh sequence number,
 // reusing a fired one when available.
-//
-//rrlint:hotpath
 func (s *System) takeEvent() *event {
 	s.eventSeq++
 	var e *event
@@ -477,7 +473,7 @@ func (s *System) takeEvent() *event {
 		e = s.freeEvents[n-1]
 		s.freeEvents[n-1] = nil
 		s.freeEvents = s.freeEvents[:n-1]
-		*e = event{} //rrlint:allow hotpath-alloc (in-place reset of recycled box)
+		*e = event{}
 	} else {
 		e = new(event)
 	}
@@ -497,8 +493,6 @@ func (s *System) perform(ev PerformEvent) {
 // complete schedules a pipeline completion notification. It is the
 // highest-traffic event kind, so instead of a closure it uses a tagged
 // event (fn == nil) whose payload rides in the event box itself.
-//
-//rrlint:hotpath
 func (s *System) complete(core int, id uint64, value uint64, delay uint64) {
 	e := s.takeEvent()
 	e.cycle = s.cycle + delay

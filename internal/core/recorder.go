@@ -385,8 +385,6 @@ func (r *Recorder) Occupancy() int { return len(r.traq) }
 // non-memory instructions accumulate toward the next entry's NMI
 // field, spilling filler entries when they exceed the field's capacity
 // (paper §4.1).
-//
-//rrlint:hotpath
 func (r *Recorder) DispatchInstr(seq uint64, ins isa.Instr) bool {
 	if !ins.IsMem() {
 		if len(r.pending) >= r.cfg.NMICap {
@@ -437,15 +435,11 @@ func (r *Recorder) takeEntry(seq uint64, kind entryKind, nmiSeqs []uint64) *traq
 }
 
 // freeEntry recycles a TRAQ entry that has left the queue.
-//
-//rrlint:hotpath
 func (r *Recorder) freeEntry(e *traqEntry) {
 	r.freeEntries = append(r.freeEntries, e)
 }
 
 // push appends a TRAQ entry; callers have already checked capacity.
-//
-//rrlint:hotpath
 func (r *Recorder) push(e *traqEntry) {
 	r.traq = append(r.traq, e)
 	if len(r.traq) > r.Stats.TRAQPeak {
@@ -458,8 +452,6 @@ func (r *Recorder) push(e *traqEntry) {
 // the value is retained for possible reordered logging, and the line
 // is inserted into the interval signatures (QuickRec inserts at
 // perform time).
-//
-//rrlint:hotpath
 func (r *Recorder) Perform(seq uint64, addr uint64, isRead, isWrite bool, value, storedVal uint64, didWrite bool) {
 	i := r.entry(seq)
 	if i < 0 {
@@ -500,8 +492,6 @@ func (r *Recorder) Perform(seq uint64, addr uint64, isRead, isWrite bool, value,
 // that access was squashed or has already been counted. Filler entries
 // share the seq space (each carries the seq of its last non-memory
 // instruction) and keep the TRAQ sorted, but never match an access.
-//
-//rrlint:hotpath
 func (r *Recorder) entry(seq uint64) int {
 	// Open-coded binary search, like cpu.Core's seq lookup.
 	lo, hi := 0, len(r.traq)
@@ -523,8 +513,6 @@ func (r *Recorder) entry(seq uint64) int {
 // program order, so a single high-water mark tells whether any
 // instruction (and hence any TRAQ entry, including fillers) has
 // retired.
-//
-//rrlint:hotpath
 func (r *Recorder) RetireInstr(seq uint64, isMem bool) {
 	r.retiredUpTo = seq
 	r.anyRetired = true
@@ -729,8 +717,6 @@ func (r *Recorder) logEntry(e replaylog.Entry) {
 // Tick runs the counting stage: up to CountPerCycle TRAQ entries drain
 // from the head once they are both performed and retired, in program
 // order. It also samples TRAQ occupancy for Figure 12.
-//
-//rrlint:hotpath
 func (r *Recorder) Tick(cycle uint64) {
 	r.Stats.TRAQOccupancySum += uint64(len(r.traq))
 	r.Stats.TRAQSamples++

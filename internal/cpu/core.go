@@ -137,8 +137,6 @@ func (c *Core) HandleCompletion(ev coherence.Completion) {
 // the write buffer older than the ROB head, so a binary search finds
 // the uop. Sequence numbers are never reused, so a squashed seq can
 // never match a recycled uop.
-//
-//rrlint:hotpath
 func (c *Core) lookup(seq uint64) *uop {
 	q := c.wb
 	if len(c.rob) > 0 && seq >= c.rob[0].seq {
@@ -154,8 +152,6 @@ func (c *Core) lookup(seq uint64) *uop {
 // ascending seq order, whose seq is at least seq. Open-coded:
 // sort.Search's closure would allocate its environment on these
 // per-instruction paths.
-//
-//rrlint:hotpath
 func searchSeq(q []*uop, seq uint64) int {
 	lo, hi := 0, len(q)
 	for lo < hi {
@@ -171,8 +167,6 @@ func searchSeq(q []*uop, seq uint64) int {
 
 // markPerformed records the perform event and whether it was out of
 // program order (an older memory op still pending), for Figure 1.
-//
-//rrlint:hotpath
 func (c *Core) markPerformed(u *uop) {
 	if u.performed {
 		return
@@ -208,8 +202,6 @@ func (c *Core) olderMemPending(seq uint64) bool {
 
 // finish completes a uop's execution: the result is available and
 // waiting consumers wake.
-//
-//rrlint:hotpath
 func (c *Core) finish(u *uop, val uint64) {
 	u.val = val
 	u.state = uopDone
@@ -238,7 +230,6 @@ func (c *Core) wantsALUQueue(u *uop) bool {
 	return true
 }
 
-//rrlint:hotpath
 func (c *Core) pushReady(u *uop) {
 	u.state = uopReady
 	lo := searchSeq(c.readyALU, u.seq+1)
@@ -270,8 +261,6 @@ func (c *Core) Tick(cycle uint64) {
 // walk runs over a detached snapshot. The snapshot and the rebuilt
 // queue ping-pong between two persistent buffers, so the per-cycle
 // rebuild never allocates.
-//
-//rrlint:hotpath
 func (c *Core) completeExecuting() {
 	snapshot := c.executing
 	c.executing = c.execScratch[:0]
@@ -756,8 +745,6 @@ func (c *Core) drainWB(budget *int) {
 // issueALU starts execution of ready ALU-class uops. The consumed
 // prefix is shifted out rather than re-sliced away, so the queue keeps
 // its backing array and pushReady's insertion stops allocating.
-//
-//rrlint:hotpath
 func (c *Core) issueALU() {
 	n, pop := 0, 0
 	for pop < len(c.readyALU) && n < c.cfg.IssueWidth {
@@ -861,8 +848,6 @@ func (c *Core) dispatch() {
 // The per-operand work lives in captureSource, a method rather than a
 // closure: the closure environment was the record path's second-largest
 // heap contributor.
-//
-//rrlint:hotpath
 func (c *Core) captureSources(u *uop) {
 	if u.ins.ReadsRs1() {
 		c.captureSource(u, 0, u.ins.Rs1)
@@ -875,7 +860,6 @@ func (c *Core) captureSources(u *uop) {
 	}
 }
 
-//rrlint:hotpath
 func (c *Core) captureSource(u *uop, idx int, r isa.Reg) {
 	owner := c.regOwner[r]
 	switch {
@@ -895,8 +879,6 @@ func (c *Core) captureSource(u *uop, idx int, r isa.Reg) {
 // it slides back to the start, so the queue never reallocates. buf
 // holds twice the queue's capacity, so a slide happens at most once
 // per capacity's worth of pops and moves at most that many pointers.
-//
-//rrlint:hotpath
 func pushWindow(q, buf []*uop, u *uop) []*uop {
 	if len(q) == cap(q) && len(q) < len(buf) {
 		q = buf[:copy(buf, q)]
@@ -930,8 +912,6 @@ func (c *Core) allocUop(seq uint64, pc int, ins isa.Instr) *uop {
 // reference remains: not in any queue, not a register owner, waiter
 // list already drained by finish. Squashed uops are recycled by
 // squashAfter, which unlinks them first.
-//
-//rrlint:hotpath
 func (c *Core) freeUop(u *uop) {
 	c.freeUops = append(c.freeUops, u)
 }

@@ -60,8 +60,9 @@ func TestNetChaosGridClassifiesEveryCell(t *testing.T) {
 		}
 		// The happy diagonal: with no transport fault, every server
 		// behaviour — slow and restarting included — commits
-		// byte-identical. Faulted cells may still end rejected: a
-		// reordered preamble is a bad preamble to the server.
+		// byte-identical. Faulted cells may still end rejected once a
+		// fault outlasts the retry budget; a reordered preamble alone
+		// only costs a redial.
 		if c.Fault == chaosBaseline && c.Outcome != OutcomeIdentical {
 			t.Errorf("%s/%s = %s (%s), want %s",
 				c.Server, c.Fault, c.Outcome, c.Detail, OutcomeIdentical)

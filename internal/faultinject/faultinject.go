@@ -323,8 +323,6 @@ func (in *Injector) Enabled(p Point) bool {
 
 // Fire consults the point and reports whether the fault happens now.
 // Deterministic given the seed and the per-point consultation count.
-//
-//rrlint:hotpath
 func (in *Injector) Fire(p Point) bool {
 	if in == nil {
 		return false

@@ -272,3 +272,28 @@ func TestNetPointsRegistered(t *testing.T) {
 		}
 	}
 }
+
+// TestFireZeroAlloc: the interconnect consults Fire per message event
+// and the log encoder per frame, so consulting every point, firing or
+// not, must not allocate. 64 rounds a run let the probabilistic points
+// fire inside the measured runs, not only in the warm-up.
+func TestFireZeroAlloc(t *testing.T) {
+	points := Points()
+	in := New(1, points...)
+	fired := 0
+	n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			for _, p := range points {
+				if in.Fire(p) {
+					fired++
+				}
+			}
+		}
+	})
+	if n != 0 {
+		t.Errorf("Fire over every point allocates %.0f allocs/op, want 0", n)
+	}
+	if fired == 0 {
+		t.Error("no point fired: the firing path went unmeasured")
+	}
+}

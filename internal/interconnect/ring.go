@@ -133,8 +133,6 @@ func (r *Ring) Busy() bool {
 // first arrives somewhere on cycle T+1 (one hop away at the earliest).
 // The returned slice is valid only until the next call to Tick; copy
 // the Delivery values out to hold them longer.
-//
-//rrlint:hotpath
 func (r *Ring) Tick() []Delivery {
 	out := r.out[:0]
 
@@ -164,15 +162,15 @@ func (r *Ring) Tick() []Delivery {
 		switch {
 		case m.Visit && p == m.Src:
 			// Returned home: leaves the ring.
-			out = append(out, Delivery{Node: p, Msg: *m, Final: true}) //rrlint:allow hotpath-alloc (amortized append into reused buffer)
+			out = append(out, Delivery{Node: p, Msg: *m, Final: true})
 			r.slots[p] = nil
 			r.freeMsg(m)
 			r.Delivered++
 		case m.Visit:
 			// Passing snoop: observed but stays on the ring.
-			out = append(out, Delivery{Node: p, Msg: *m, Final: false}) //rrlint:allow hotpath-alloc (amortized append into reused buffer)
+			out = append(out, Delivery{Node: p, Msg: *m, Final: false})
 		case p == m.Dst:
-			out = append(out, Delivery{Node: p, Msg: *m, Final: true}) //rrlint:allow hotpath-alloc (amortized append into reused buffer)
+			out = append(out, Delivery{Node: p, Msg: *m, Final: true})
 			r.slots[p] = nil
 			r.freeMsg(m)
 			r.Delivered++
@@ -208,8 +206,6 @@ func (r *Ring) Tick() []Delivery {
 }
 
 // takeMsg returns a message box from the freelist, or a new one.
-//
-//rrlint:hotpath
 func (r *Ring) takeMsg() *Message {
 	if n := len(r.free); n > 0 {
 		m := r.free[n-1]
@@ -217,13 +213,11 @@ func (r *Ring) takeMsg() *Message {
 		r.free = r.free[:n-1]
 		return m
 	}
-	return new(Message) //rrlint:allow hotpath-alloc (freelist miss)
+	return new(Message)
 }
 
 // freeMsg recycles a message box that left the ring. The Delivery the
 // caller sees holds a value copy, so dropping the box here is safe.
-//
-//rrlint:hotpath
 func (r *Ring) freeMsg(m *Message) {
 	m.Payload = nil // release the protocol payload promptly
 	r.free = append(r.free, m)

@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -13,33 +11,20 @@ import (
 // read elsewhere is a data race the memory model gives no meaning to,
 // and on a relaxed-consistency machine (the very subject of this
 // codebase) the plain load can legally observe a stale or torn value
-// forever. The typed sync/atomic wrappers (atomic.Uint64 et al.) make
-// the mix inexpressible; this check covers the function-style API,
-// where the field type stays a plain integer and nothing stops a
-// later maintainer from writing `s.n++`.
+// forever.
 //
-// The check is whole-program: atomic access in one package and plain
-// access in another still mix. Findings are reported at every PLAIN
-// access (the side that breaks the discipline), naming one atomic
-// site as evidence. Composite-literal initialization is not flagged:
-// construction happens-before publication.
-//
-// Soundness caveat: access through a stored pointer (`p := &s.n;
-// atomic.AddUint64(p, 1)`) is invisible — the check sees only direct
-// selector-rooted uses.
+// The typed atomics (atomic.Uint64 et al.) make the mix
+// inexpressible: their value is reachable only through methods, and
+// `go vet -copylocks` rejects copying one. So the check bans the
+// function-style API instead of tracing fields across the program:
+// every call to a package-level sync/atomic Load*, Store*, Add*,
+// Swap*, CompareAndSwap*, And* or Or* function is reported. Methods of
+// the typed atomics are exempt.
 
 var atomicmixCheck = &Check{
 	Name: "atomicmix",
-	Doc:  "no struct field is accessed both through sync/atomic and by plain load/store",
+	Doc:  "no function-style sync/atomic calls: use the typed atomics, which cannot be read plainly",
 	Run: func(pass *Pass) {
-		type site struct {
-			pkg *Package
-			pos token.Pos
-		}
-		atomicSites := make(map[*types.Var][]site)
-		atomicArgSel := make(map[*ast.SelectorExpr]bool)
-
-		// Pass 1: find every &field handed to a sync/atomic function.
 		for _, pkg := range pass.Prog.Pkgs {
 			for _, f := range pkg.Files {
 				ast.Inspect(f, func(x ast.Node) bool {
@@ -47,71 +32,15 @@ var atomicmixCheck = &Check{
 					if !ok {
 						return true
 					}
-					obj := calleeObj(pkg, call)
-					if obj == nil || objPkgPath(obj) != "sync/atomic" || !isAtomicFnName(obj.Name()) {
+					fn, ok := calleeObj(pkg, call).(*types.Func)
+					if !ok || objPkgPath(fn) != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil || !isAtomicFnName(fn.Name()) {
 						return true
 					}
-					if len(call.Args) == 0 {
-						return true
-					}
-					un, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-					if !ok || un.Op != token.AND {
-						return true
-					}
-					sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					if fv := fieldVarOf(pkg, sel); fv != nil {
-						atomicSites[fv] = append(atomicSites[fv], site{pkg: pkg, pos: sel.Pos()})
-						atomicArgSel[sel] = true
-					}
+					pass.Report(pkg, call,
+						"call to atomic.%s: use a typed atomic (atomic.Uint64 et al.), which cannot be read plainly", fn.Name())
 					return true
 				})
 			}
-		}
-		if len(atomicSites) == 0 {
-			return
-		}
-
-		// Pass 2: every other selector-rooted use of those fields is a
-		// plain access.
-		type finding struct {
-			pkg   *Package
-			pos   token.Pos
-			field *types.Var
-			disp  string
-		}
-		var findings []finding
-		for _, pkg := range pass.Prog.Pkgs {
-			for _, f := range pkg.Files {
-				ast.Inspect(f, func(x ast.Node) bool {
-					sel, ok := x.(*ast.SelectorExpr)
-					if !ok || atomicArgSel[sel] {
-						return true
-					}
-					fv := fieldVarOf(pkg, sel)
-					if fv == nil {
-						return true
-					}
-					if _, mixed := atomicSites[fv]; !mixed {
-						return true
-					}
-					findings = append(findings, finding{
-						pkg: pkg, pos: sel.Sel.Pos(), field: fv,
-						disp: fieldDisp(pkg, sel, fv),
-					})
-					return true
-				})
-			}
-		}
-		sort.Slice(findings, func(i, j int) bool { return findings[i].pos < findings[j].pos })
-		for _, fd := range findings {
-			sites := atomicSites[fd.field]
-			ref := pass.Prog.Fset.Position(sites[0].pos)
-			pass.ReportPos(fd.pkg, fd.pos,
-				"plain access to %s, which is accessed with sync/atomic (e.g. %s:%d) — pick one discipline or use the typed atomic wrappers",
-				fd.disp, shortPath(ref.Filename), ref.Line)
 		}
 	},
 }
@@ -124,35 +53,4 @@ func isAtomicFnName(name string) bool {
 		}
 	}
 	return false
-}
-
-// fieldVarOf resolves a selector to the struct field it names (nil
-// for methods, package members, and non-field selections).
-func fieldVarOf(pkg *Package, sel *ast.SelectorExpr) *types.Var {
-	if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok && v.IsField() {
-			return v
-		}
-	}
-	return nil
-}
-
-// fieldDisp renders "Type.field" for the diagnostic.
-func fieldDisp(pkg *Package, sel *ast.SelectorExpr, fv *types.Var) string {
-	if t := exprType(pkg, sel.X); t != nil {
-		if named := namedOf(t); named != nil {
-			return named.Obj().Name() + "." + fv.Name()
-		}
-	}
-	return fv.Name()
-}
-
-// shortPath trims a filename to its final two path elements for
-// in-message references (full paths stay on the diagnostic position).
-func shortPath(p string) string {
-	parts := strings.Split(p, "/")
-	if len(parts) <= 2 {
-		return p
-	}
-	return strings.Join(parts[len(parts)-2:], "/")
 }

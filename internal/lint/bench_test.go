@@ -51,7 +51,7 @@ func BenchmarkChecksOnly(b *testing.B) {
 }
 
 // TestRepoLintBudget enforces the CI-friendliness claim: one cold
-// full-repo run (load + all ten checks) must finish inside a bound
+// full-repo run (load + every check) must finish inside a bound
 // generous enough for slow shared runners yet tight enough to catch an
 // accidental fixpoint blow-up or a per-check re-load regression.
 func TestRepoLintBudget(t *testing.T) {

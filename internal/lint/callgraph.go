@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the cross-function analysis engine the concurrency
-// checks (lockorder, blockinglock, goroleak, atomicmix) share. It is
+// checks (lockorder, blockinglock, goroleak) share. It is
 // built once per loaded Program (Program.Facts) and reused by every
 // check, so a full rrlint run pays for parsing, type-checking and the
 // call-graph fixpoint exactly once.

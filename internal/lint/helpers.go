@@ -83,16 +83,14 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-// eachFuncBody visits every function body in the package: declared
-// functions and methods (function literals are visited as part of
-// their enclosing declaration's body). fn receives the declaration
-// (for doc comments; nil for package-level var initializers) and the
-// body.
-func eachFuncBody(pkg *Package, fn func(decl *ast.FuncDecl, body *ast.BlockStmt)) {
+// eachFuncBody visits the body of every declared function and method
+// in the package (function literals are visited as part of their
+// enclosing declaration's body).
+func eachFuncBody(pkg *Package, fn func(body *ast.BlockStmt)) {
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				fn(fd, fd.Body)
+				fn(fd.Body)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 // Package lint is rrlint's analyzer framework: a stdlib-only static
 // analysis suite (go/ast + go/parser + go/types, no external deps)
-// that proves the simulator's determinism and hot-path invariants at
-// build time instead of discovering violations at replay time.
+// that proves the simulator's determinism and concurrency invariants
+// at build time instead of discovering violations at replay time.
 //
 // RelaxReplay's contract is bit-exact recording and byte-identical
 // replay (paper §3, §5). The regression tests catch a nondeterminism
@@ -16,17 +16,18 @@
 //     (append without a later sort, writer/encoder/table calls).
 //   - errcheck-io: no discarded errors from replaylog encode/decode
 //     or Flush on the (fault-injectable) log write path.
-//   - hotpath-alloc: functions annotated //rrlint:hotpath must stay
-//     free of fmt calls, closures and composite literals.
 //   - faultpoint: every fault-point-shaped string literal matches a
 //     point registered in internal/faultinject, and Points() lists
 //     every declared point.
+//   - atomicmix: no call to the function-style sync/atomic API; the
+//     typed atomics (atomic.Uint64 et al.) cannot be read plainly, so
+//     a field can never be both atomic and plain.
 //
 // On top of the per-function checks sits a type-aware cross-function
 // engine (callgraph.go): a static call graph over the type-checked
 // program with per-function summaries — locks acquired, blocking
 // operations performed, goroutines launched — propagated to a
-// fixpoint. Four concurrency checks run on it:
+// fixpoint. Three concurrency checks run on it:
 //
 //   - lockorder: the observed mutex-acquisition order (across all
 //     call paths) must be cycle-free.
@@ -35,39 +36,35 @@
 //     frame that holds the lock.
 //   - goroleak: every `go` statement is supervised by a context,
 //     done-channel, or WaitGroup visible at the launch site.
-//   - atomicmix: no struct field is accessed both through sync/atomic
-//     and by plain load/store anywhere in the program.
 //
 // Findings are suppressed per line with a `//rrlint:allow <check>`
-// comment (on the offending line or the line above), so intentional
-// exceptions are visible and grep-able. For the cross-function checks
-// the comment must sit at the REPORTED site — the frame holding the
-// lock, the go statement, the plain field access — not inside a
-// callee, so the suppression documents the frame that owns the
-// tradeoff.
+// comment: a trailing comment covers its own line, and a comment that
+// starts its line also covers the line below. For the cross-function
+// checks the comment must sit at the REPORTED site — the frame holding
+// the lock, the go statement — not inside a callee, so the suppression
+// documents the frame that owns the tradeoff.
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/token"
+	"os"
 	"sort"
 	"strings"
 )
 
 // Diagnostic is one finding, positioned for editors and CI logs.
 type Diagnostic struct {
-	Pos     token.Position `json:"-"`
-	File    string         `json:"file"`
-	Line    int            `json:"line"`
-	Col     int            `json:"col"`
-	Check   string         `json:"check"`
-	Message string         `json:"message"`
+	Pos     token.Position
+	Check   string
+	Message string
 }
 
-// String renders the diagnostic in the conventional file:line:col form.
+// String renders the diagnostic in go vet's file:line:col form.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Check, d.Message)
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
 // Check is one analysis. Run inspects the whole program (checks that
@@ -85,7 +82,6 @@ func Checks() []*Check {
 		detrandCheck,
 		maporderCheck,
 		errcheckIOCheck,
-		hotpathCheck,
 		faultpointCheck,
 		lockorderCheck,
 		blockinglockCheck,
@@ -129,9 +125,6 @@ func (p *Pass) ReportPos(pkg *Package, tpos token.Pos, format string, args ...an
 	}
 	p.diags = append(p.diags, Diagnostic{
 		Pos:     pos,
-		File:    pos.Filename,
-		Line:    pos.Line,
-		Col:     pos.Column,
 		Check:   p.Check.Name,
 		Message: fmt.Sprintf(format, args...),
 	})
@@ -175,28 +168,31 @@ func Run(prog *Program, names []string) ([]Diagnostic, error) {
 		all = append(all, pass.diags...)
 	}
 	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.File != b.File {
-			return a.File < b.File
+		a, b := all[i].Pos, all[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
 		}
 		if a.Line != b.Line {
 			return a.Line < b.Line
 		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
+		if a.Column != b.Column {
+			return a.Column < b.Column
 		}
-		return a.Check < b.Check
+		return all[i].Check < all[j].Check
 	})
 	return all, nil
 }
 
 // allowIndex maps file -> line -> set of suppressed check names. A
-// comment on line N suppresses findings on line N (trailing comment)
-// and line N+1 (comment-above style).
+// comment on line N suppresses findings on line N; when it starts its
+// line (comment-above style) it also suppresses line N+1. A trailing
+// comment covers only the code it trails, so it cannot silently waive
+// a finding on the next line.
 type allowIndex map[string]map[int]map[string]bool
 
 func buildAllowIndex(prog *Program) allowIndex {
 	idx := make(allowIndex)
+	srcs := make(map[string][]byte)
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
@@ -211,7 +207,11 @@ func buildAllowIndex(prog *Program) allowIndex {
 						lines = make(map[int]map[string]bool)
 						idx[pos.Filename] = lines
 					}
-					for _, ln := range []int{pos.Line, pos.Line + 1} {
+					covered := []int{pos.Line}
+					if startsLine(prog.Fset.File(c.Pos()), c.Pos(), srcs) {
+						covered = append(covered, pos.Line+1)
+					}
+					for _, ln := range covered {
 						if lines[ln] == nil {
 							lines[ln] = make(map[string]bool)
 						}
@@ -224,6 +224,19 @@ func buildAllowIndex(prog *Program) allowIndex {
 		}
 	}
 	return idx
+}
+
+// startsLine reports whether only whitespace precedes p on its source
+// line. srcs caches file contents by name; an unreadable file counts
+// as trailing, the narrower suppression.
+func startsLine(tf *token.File, p token.Pos, srcs map[string][]byte) bool {
+	src, ok := srcs[tf.Name()]
+	if !ok {
+		src, _ = os.ReadFile(tf.Name())
+		srcs[tf.Name()] = src
+	}
+	start, off := tf.Offset(tf.LineStart(tf.Line(p))), tf.Offset(p)
+	return off <= len(src) && len(bytes.TrimSpace(src[start:off])) == 0
 }
 
 // parseAllow extracts the check list from an `//rrlint:allow a,b`

@@ -21,7 +21,6 @@ var goldenFixtures = []struct {
 	{"detrand", "detrand"},
 	{"maporder", "maporder"},
 	{"errcheck-io", "errcheckio"},
-	{"hotpath-alloc", "hotpath"},
 	{"faultpoint", "faultpoint"},
 	{"lockorder", "lockorder"},
 	{"blockinglock", "blockinglock"},
@@ -55,11 +54,12 @@ func render(t *testing.T, dir string, diags []Diagnostic) string {
 	}
 	var b strings.Builder
 	for _, d := range diags {
-		rel, err := filepath.Rel(abs, d.File)
+		rel, err := filepath.Rel(abs, d.Pos.Filename)
 		if err != nil {
-			rel = d.File
+			rel = d.Pos.Filename
 		}
-		fmt.Fprintf(&b, "%s:%d:%d: [%s] %s\n", filepath.ToSlash(rel), d.Line, d.Col, d.Check, d.Message)
+		d.Pos.Filename = filepath.ToSlash(rel)
+		fmt.Fprintln(&b, d)
 	}
 	return b.String()
 }
@@ -130,7 +130,7 @@ func TestParseAllow(t *testing.T) {
 		{"//rrlint:allow detrand -- reviewed, seed is fixed", []string{"detrand"}, true},
 		{"//rrlint:allow detrand # reviewed", []string{"detrand"}, true},
 		{"// plain comment", nil, false},
-		{"//rrlint:hotpath", nil, false},
+		{"//rrlint:deterministic", nil, false},
 	}
 	for _, c := range cases {
 		got, ok := parseAllow(c.text)
@@ -161,7 +161,7 @@ func TestCrossFunctionSuppressionAtReportedSite(t *testing.T) {
 		if strings.Contains(d.Message, "napAllowed") {
 			callerSite = true
 		}
-		if d.Line == 52 { // barrier's suppressed j.f.Sync()
+		if d.Pos.Line == 52 { // barrier's suppressed j.f.Sync()
 			barrierSite = true
 		}
 	}
@@ -174,19 +174,19 @@ func TestCrossFunctionSuppressionAtReportedSite(t *testing.T) {
 }
 
 // TestFactsSharedAcrossChecks is the perf contract: one Run over all
-// four cross-function checks builds the call-graph facts exactly once.
+// three cross-function checks builds the call-graph facts exactly once.
 func TestFactsSharedAcrossChecks(t *testing.T) {
 	prog := loadFixture(t, filepath.Join("testdata", "lockorder"))
-	if _, err := Run(prog, []string{"lockorder", "blockinglock", "goroleak", "atomicmix"}); err != nil {
+	if _, err := Run(prog, []string{"lockorder", "blockinglock", "goroleak"}); err != nil {
 		t.Fatal(err)
 	}
 	if prog.factBuilds != 1 {
-		t.Errorf("facts built %d times across four checks, want 1", prog.factBuilds)
+		t.Errorf("facts built %d times across three checks, want 1", prog.factBuilds)
 	}
 }
 
 func TestRunUnknownCheck(t *testing.T) {
-	prog := loadFixture(t, filepath.Join("testdata", "hotpath"))
+	prog := loadFixture(t, filepath.Join("testdata", "detrand"))
 	if _, err := Run(prog, []string{"no-such-check"}); err == nil {
 		t.Fatal("Run accepted an unknown check name")
 	}

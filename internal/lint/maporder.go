@@ -38,7 +38,7 @@ var maporderCheck = &Check{
 	Doc:  "no map iteration feeding ordered output (unsorted append, writer, encoder, table row)",
 	Run: func(pass *Pass) {
 		for _, pkg := range pass.Prog.Pkgs {
-			eachFuncBody(pkg, func(_ *ast.FuncDecl, body *ast.BlockStmt) {
+			eachFuncBody(pkg, func(body *ast.BlockStmt) {
 				ast.Inspect(body, func(n ast.Node) bool {
 					rng, ok := n.(*ast.RangeStmt)
 					if !ok {

@@ -1,44 +1,48 @@
 // Package atomicmix is the rrlint fixture for the atomicmix check:
-// a field incremented through sync/atomic but also read and written
-// plainly (findings at every plain site), a suppressed
-// pre-publication initialization, and clean fields (a typed atomic
-// wrapper and a purely plain counter).
+// calls to the function-style sync/atomic API (findings, whatever the
+// operand), a suppressed call, and the typed atomics, whose methods
+// are clean.
 package atomicmix
 
 import "sync/atomic"
 
 type Counter struct {
 	hits  uint64
+	flag  int32
 	safe  atomic.Uint64
+	ptr   atomic.Pointer[Counter]
 	plain uint64
 }
 
+// inc bumps a plain field through the function-style API: the field
+// stays a uint64 that nothing stops a later c.hits++ from racing on.
 func (c *Counter) inc() {
-	atomic.AddUint64(&c.hits, 1)
+	atomic.AddUint64(&c.hits, 1) // want: function-style call
 }
 
-// read loads hits without atomic: a race with inc.
+// read is the other half of the mix; the check reports the atomic
+// side, so this plain read needs no finding of its own.
 func (c *Counter) read() uint64 {
-	return c.hits // want: plain access of an atomically-accessed field
+	return c.hits
 }
 
-// reset stores plainly for the same field.
-func (c *Counter) reset() {
-	c.hits = 0 // want: plain store
+// swap and cas cover the other function families.
+func (c *Counter) swap() bool {
+	atomic.StoreInt32(&c.flag, 1)                    // want: function-style call
+	return atomic.CompareAndSwapInt32(&c.flag, 1, 0) // want: function-style call
 }
 
-// newCounter initializes before the value is shared: acknowledged
-// with a suppression at the plain site.
-func newCounter() *Counter {
-	c := &Counter{}
-	c.hits = 0 //rrlint:allow atomicmix -- fixture: pre-publication init, not yet shared
-	return c
+// legacy is acknowledged with a suppression at the call.
+func (c *Counter) legacy() uint64 {
+	return atomic.LoadUint64(&c.hits) //rrlint:allow atomicmix -- fixture: acknowledged legacy call
 }
 
-// ok uses the typed wrapper (mix-proof by construction) and a field
+// ok uses the typed atomics (mix-proof by construction) and a field
 // that is only ever plain: no findings.
 func (c *Counter) ok() uint64 {
 	c.safe.Add(1)
+	c.safe.CompareAndSwap(1, 2)
+	c.ptr.Store(c)
 	c.plain++
 	return c.safe.Load() + c.plain
 }

@@ -1,13 +1,14 @@
 // Package goroleak is the rrlint fixture for the goroleak check: an
 // unsupervised goroutine literal and an unsupervised named launch
-// (findings), a clean WaitGroup-supervised worker, a clean
-// done-channel loop, a clean context launch, and a suppressed
-// process-lifetime loop.
+// (findings), a goroutine ranging over a ticker it made itself
+// (finding), a clean WaitGroup-supervised worker, a clean done-channel
+// loop, a clean context launch, and suppressed process-lifetime loops.
 package goroleak
 
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 type Worker struct {
@@ -80,10 +81,26 @@ func run(ctx context.Context) {
 	<-ctx.Done()
 }
 
-// background is an acknowledged process-lifetime loop: suppressed at
-// the launch site.
+// ticker ranges over a ticker the goroutine made itself: the channel
+// never closes and nothing outside the goroutine can stop the loop.
+func (w *Worker) ticker() {
+	go func() { // want: no visible termination path
+		t := time.NewTicker(time.Second)
+		for range t.C {
+			step()
+		}
+	}()
+}
+
+// background holds acknowledged process-lifetime loops, suppressed at
+// the launch site. A trailing allow covers only its own line, so the
+// launch right under it is still reported; an allow that starts its
+// line covers the line below.
 func (w *Worker) background() {
 	go spin() //rrlint:allow goroleak -- fixture: process-lifetime loop by design
+	go spin() // want: the trailing allow above does not reach this line
+	//rrlint:allow goroleak -- fixture: comment-above style
+	go spin()
 }
 
 func step() {}

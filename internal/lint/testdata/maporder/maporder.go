@@ -61,3 +61,17 @@ func Total(m map[string]int) int {
 	}
 	return total
 }
+
+// Table stands in for stats.Table: rows print in the order added.
+type Table struct{ rows [][]string }
+
+// AddRow appends one row.
+func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
+
+// Rows adds one table row per map entry: the printed table's row
+// order differs run to run.
+func Rows(t *Table, m map[string]int) {
+	for k, v := range m {
+		t.AddRow(k, fmt.Sprint(v))
+	}
+}

@@ -13,8 +13,9 @@
 // interval that diverged.
 //
 // All capture methods are nil-receiver no-ops, so the disabled path
-// costs one pointer compare and zero allocations; the methods on the
-// hot path carry //rrlint:hotpath and avoid composite literals.
+// costs one pointer compare and zero allocations. Enabled, a warm
+// recorder allocates only each record's own copy of its reorder
+// instants (TestEnabledCaptureAllocs pins both).
 package provenance
 
 import (
@@ -198,8 +199,6 @@ type CoreRecorder struct {
 // NoteConflict stages the conflicting line, access kind and requesting
 // core for the termination that is about to follow. remote is -1 when
 // the requester is unknown.
-//
-//rrlint:hotpath
 func (c *CoreRecorder) NoteConflict(line uint64, isWrite bool, remote int) {
 	if c == nil {
 		return
@@ -210,65 +209,38 @@ func (c *CoreRecorder) NoteConflict(line uint64, isWrite bool, remote int) {
 }
 
 // NoteReorder records one reorder instant in the open interval.
-//
-//rrlint:hotpath
 func (c *CoreRecorder) NoteReorder(kind uint8, offset uint16, cycle uint64) {
 	if c == nil {
 		return
 	}
-	n := len(c.cur)
-	if n == cap(c.cur) {
-		c.growCur()
-	}
-	c.cur = c.cur[:n+1]
-	r := &c.cur[n]
-	r.Kind = kind
-	r.Offset = offset
-	r.Cycle = cycle
+	c.cur = append(c.cur, Reorder{Kind: kind, Offset: offset, Cycle: cycle})
 }
 
 // NoteTerminate closes the open interval: it appends a Record carrying
 // the cause, occupancy and any staged conflict details, attaches the
 // accumulated reorder instants, and resets the per-interval state.
-//
-//rrlint:hotpath
 func (c *CoreRecorder) NoteTerminate(seq uint64, cause Cause, traq, snoopNonzero int, cycle uint64) {
 	if c == nil {
 		return
 	}
-	n := len(c.recs)
-	if n == cap(c.recs) {
-		c.growRecs()
+	r := Record{
+		Seq:           seq,
+		Cause:         cause,
+		Cycle:         cycle,
+		TRAQOccupancy: uint32(traq),
+		SnoopNonzero:  uint32(snoopNonzero),
+		ConflictLine:  c.pendLine,
+		ConflictWrite: c.pendWrite,
+		RemoteCore:    c.pendRemote,
 	}
-	c.recs = c.recs[:n+1]
-	r := &c.recs[n]
-	r.Seq = seq
-	r.Cause = cause
-	r.Cycle = cycle
-	r.TRAQOccupancy = uint32(traq)
-	r.SnoopNonzero = uint32(snoopNonzero)
-	r.ConflictLine = c.pendLine
-	r.ConflictWrite = c.pendWrite
-	r.RemoteCore = c.pendRemote
-	r.Reorders = nil
 	if len(c.cur) > 0 {
 		r.Reorders = c.takeReorders()
 	}
+	c.recs = append(c.recs, r)
 	c.cur = c.cur[:0]
 	c.pendLine = 0
 	c.pendWrite = false
 	c.pendRemote = -1
-}
-
-// growCur and growRecs live outside the hotpath-annotated methods so
-// the (amortized, enabled-only) allocations happen in plainly cold
-// helpers the alloc check does not guard.
-func (c *CoreRecorder) growCur() {
-	c.cur = append(c.cur, Reorder{})[:len(c.cur)]
-}
-
-func (c *CoreRecorder) growRecs() {
-	c.recs = append(c.recs, Record{})[:len(c.recs)]
 }
 
 // takeReorders copies the scratch instants into a right-sized slice

@@ -143,3 +143,31 @@ func TestZeroAllocWhenDisabled(t *testing.T) {
 		t.Fatalf("disabled capture allocates %.1f allocs/op, want 0", n)
 	}
 }
+
+// TestEnabledCaptureAllocs pins the enabled path: once the record
+// buffers are warm, an interval without reorders allocates nothing and
+// one with a reorder allocates only the record's own copy of its
+// instants.
+func TestEnabledCaptureAllocs(t *testing.T) {
+	cr := NewCollector().Core(0)
+	var seq uint64
+	plain := func() {
+		seq++
+		cr.NoteConflict(seq, true, 1)
+		cr.NoteTerminate(seq, CauseConflict, 3, 1, seq)
+	}
+	reordered := func() {
+		seq++
+		cr.NoteReorder(ReorderLoad, 2, seq)
+		cr.NoteTerminate(seq, CauseSize, 3, 1, seq)
+	}
+	for i := 0; i < 4096; i++ {
+		reordered()
+	}
+	if n := testing.AllocsPerRun(100, plain); n != 0 {
+		t.Errorf("plain interval allocates %.0f allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, reordered); n != 1 {
+		t.Errorf("interval with a reorder allocates %.0f allocs/op, want 1 (the record's copy of its instants)", n)
+	}
+}

@@ -101,15 +101,13 @@ func (enc *encoder) release() {
 
 // frame writes one frame carrying body. The first error sticks and
 // turns every later call into a no-op; finish reports it.
-//
-//rrlint:hotpath
 func (enc *encoder) frame(t FrameType, body []byte) {
 	if enc.err != nil {
 		return
 	}
 	out, err := frame.Append(enc.out[:0], uint8(t), body, MaxFrameLen)
 	if err != nil {
-		enc.err = fmt.Errorf("%w: %v %w", ErrOversizeFrame, t, err) //rrlint:allow hotpath-alloc (terminal error path)
+		enc.err = fmt.Errorf("%w: %v %w", ErrOversizeFrame, t, err)
 		return
 	}
 	enc.out = out

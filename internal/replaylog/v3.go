@@ -52,7 +52,7 @@ type v3Options struct {
 // well-formed logs).
 var ErrUnordered = errors.New("replaylog: v3 requires per-core ordered intervals")
 
-// errV3EntryType is pre-declared so the hotpath encoder can fail
+// errV3EntryType is pre-declared so the per-interval encoder can fail
 // without calling fmt.
 var errV3EntryType = errors.New("replaylog: cannot encode entry type in v3 group")
 
@@ -271,8 +271,6 @@ func (enc *encoder) groupFrame(core int, g *groupJob) []byte {
 // groupBody appends one group of intervals, delta/varint-encoded, to
 // enc.bodies. This is the encoder's per-interval path, the v3
 // analogue of the v2 frame loop.
-//
-//rrlint:hotpath
 func (enc *encoder) groupBody(group []Interval) error {
 	p := &enc.bodies
 	p.Uvarint(uint64(len(group)))

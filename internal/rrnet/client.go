@@ -53,8 +53,12 @@ var (
 	// ErrRetriesExhausted reports a session abandoned after MaxRetries
 	// consecutive failures with no ack progress.
 	ErrRetriesExhausted = errors.New("rrnet: retries exhausted")
-	// ErrRejected reports a session the server refused (hello or
-	// commit rejected); Reason carries the server's explanation.
+	// ErrRejected reports a session the server refused: a hello or
+	// commit answered with StatusReject, whose reason the error
+	// carries. An error frame in reply to the handshake is not a
+	// refusal (the server also sends one for a garbled preamble), so
+	// the writer redials; a protocol-version mismatch therefore ends
+	// in ErrRetriesExhausted.
 	ErrRejected = errors.New("rrnet: session rejected by server")
 	// ErrWriterClosed reports a Write after Close.
 	ErrWriterClosed = errors.New("rrnet: session writer is closed")
@@ -208,9 +212,9 @@ func (sw *SessionWriter) connectOnce() error {
 	t := MsgType(tp)
 	if t == MsgError {
 		if em, ok := decodeError(payload); ok {
-			return fail(fmt.Errorf("%w: %s", ErrRejected, em.Message))
+			return fail(fmt.Errorf("rrnet: handshake failed: %s", em.Message))
 		}
-		return fail(fmt.Errorf("%w: unreadable server error", ErrRejected))
+		return fail(errors.New("rrnet: handshake failed: unreadable server error"))
 	}
 	ack, ok := helloAckMsg{}, false
 	if t == MsgHelloAck {

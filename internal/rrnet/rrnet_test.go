@@ -339,6 +339,68 @@ func TestResumeAfterConnCut(t *testing.T) {
 	}
 }
 
+// TestGarbledPreambleRetried: an error reply to the handshake is a
+// transport fault, not a refusal. The server answers a garbled
+// preamble (net.reorder-conn can put the hello first) with an error
+// frame; the writer must redial and commit the session intact.
+func TestGarbledPreambleRetried(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "j.rrjl")
+	s, addr := startServer(t, fastServer(jpath))
+
+	c, err := NewClient(fastClient(addr), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int32
+	base := c.Dial
+	c.Dial = func(a string, d time.Duration) (net.Conn, error) {
+		nc, err := base(a, d)
+		if err != nil || dials.Add(1) > 1 {
+			return nc, err
+		}
+		return &garbledConn{Conn: nc}, nil
+	}
+	sw, err := c.OpenSession(310)
+	if err != nil {
+		t.Fatalf("OpenSession after a garbled preamble: %v", err)
+	}
+	payload := testPayload(8<<10, 5)
+	streamAll(t, sw, payload)
+	if err := sw.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if res := sw.Result(); res.Status != StatusOK || res.Retries < 1 {
+		t.Fatalf("status = %d (%s), retries = %d; want OK after a retry", res.Status, res.Reason, res.Retries)
+	}
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	v, err := ReadJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v.Sessions[310].Data, payload) {
+		t.Fatal("session bytes differ after the redial")
+	}
+}
+
+// garbledConn flips the top bit of the first byte written: the
+// preamble's magic.
+type garbledConn struct {
+	net.Conn
+	written bool
+}
+
+func (g *garbledConn) Write(p []byte) (int, error) {
+	if g.written || len(p) == 0 {
+		return g.Conn.Write(p)
+	}
+	g.written = true
+	q := append([]byte(nil), p...)
+	q[0] ^= 0x80
+	return g.Conn.Write(q)
+}
+
 // TestSilentDropRecovered injects net.drop (a frame vanishes with a
 // fake success) and proves the ack-stall machinery re-delivers it —
 // the one failure no error path can catch.

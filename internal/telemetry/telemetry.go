@@ -200,8 +200,6 @@ type Counter struct {
 
 // Add adds n to the counter on the given shard (typically the core
 // id). Nil-safe and allocation-free.
-//
-//rrlint:hotpath
 func (c *Counter) Add(shard int, n uint64) {
 	if c == nil {
 		return
@@ -210,8 +208,6 @@ func (c *Counter) Add(shard int, n uint64) {
 }
 
 // Inc adds one.
-//
-//rrlint:hotpath
 func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
 
 // Value returns the total over all shards.
@@ -242,8 +238,6 @@ type Gauge struct {
 
 // Set records the gauge's current value on the given shard. Nil-safe
 // and allocation-free.
-//
-//rrlint:hotpath
 func (g *Gauge) Set(shard int, v uint64) {
 	if g == nil {
 		return
@@ -304,8 +298,6 @@ type Histogram struct {
 
 // Observe records one value on the given shard. Nil-safe and
 // allocation-free: three atomic adds.
-//
-//rrlint:hotpath
 func (h *Histogram) Observe(shard int, v uint64) {
 	if h == nil {
 		return

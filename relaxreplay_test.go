@@ -2,6 +2,7 @@ package relaxreplay
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -86,6 +87,33 @@ func TestLogSerializationRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteErrorsReturned: every facade log writer returns its
+// writer's error, so a full disk or a dropped connection never passes
+// for a written log.
+func TestWriteErrorsReturned(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cores = 2
+	rec, err := Record(cfg, MustKernel("volrend", 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WriteLog(failingWriter{}); !errors.Is(err, errWriteFailed) {
+		t.Errorf("WriteLog = %v, want the writer's error", err)
+	}
+	if _, err := rec.WriteLogWith(failingWriter{}, nil); !errors.Is(err, errWriteFailed) {
+		t.Errorf("WriteLogWith = %v, want the writer's error", err)
+	}
+	if err := WriteSalvagedLog(failingWriter{}, rec.Log()); !errors.Is(err, errWriteFailed) {
+		t.Errorf("WriteSalvagedLog = %v, want the writer's error", err)
+	}
+}
+
+var errWriteFailed = errors.New("write failed")
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errWriteFailed }
 
 func TestCustomProgram(t *testing.T) {
 	// Two threads hand off a value through a release/acquire flag.
