@@ -98,6 +98,9 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
+	// The committed session parks its connection on the client;
+	// closing the client closes it.
+	defer client.Close()
 	if inj != nil {
 		dial := client.Dial
 		client.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {

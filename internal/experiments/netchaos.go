@@ -240,6 +240,7 @@ func (s *Suite) netChaosCellBody(cell NetChaosCell, inj *faultinject.Injector) (
 		cell.Detail = chaosDetail(err.Error())
 		return cell
 	}
+	defer client.Close()
 	client.Dial = func(_ string, timeout time.Duration) (net.Conn, error) {
 		nc, err := net.DialTimeout("tcp", *addr.Load(), timeout)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"relaxreplay/internal/machine"
 	"relaxreplay/internal/replaylog"
 	"relaxreplay/internal/rrnet"
+	"relaxreplay/internal/telemetry"
 	"relaxreplay/internal/workload"
 )
 
@@ -16,8 +17,9 @@ import (
 // together, of one in-process stream session — OpenSession, a v3
 // encode of lu at 8 cores onto it, Close — once 100 sessions have
 // warmed the pools: about 1.5x the count measured when the budget was
-// set.
-const sessionAllocBudget = 140
+// set. Every session after the first runs over the connection the one
+// before it parked.
+const sessionAllocBudget = 90
 
 // raceEnabled is set under -race (race_test.go), where allocation
 // counts are not the program's own.
@@ -41,7 +43,8 @@ func TestStreamSessionAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := rrnet.NewServer(rrnet.ServerOptions{Addr: "127.0.0.1:0", JournalPath: filepath.Join(t.TempDir(), "j.rrjl")}, nil)
+	reg := telemetry.NewRegistry(1)
+	srv, err := rrnet.NewServer(rrnet.ServerOptions{Addr: "127.0.0.1:0", JournalPath: filepath.Join(t.TempDir(), "j.rrjl")}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +66,7 @@ func TestStreamSessionAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	id := uint64(0)
 	session := func() {
 		id++
@@ -84,6 +88,9 @@ func TestStreamSessionAllocBudget(t *testing.T) {
 		session()
 	}
 	allocs := testing.AllocsPerRun(10, session)
+	if n := reg.Counter("rrnet.server.conns").Value(); n != 1 {
+		t.Fatalf("%d sessions ran over %d connections, want 1", id, n)
+	}
 	if allocs > sessionAllocBudget {
 		t.Fatalf("one stream session made %.0f heap allocations, budget %d", allocs, sessionAllocBudget)
 	}

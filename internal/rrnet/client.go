@@ -13,15 +13,24 @@ import (
 )
 
 // Client dials rrproc and opens streaming sessions. One Client can
-// open many sessions (sequentially or from separate goroutines); each
-// SessionWriter owns its own connection so a stalled session never
-// head-of-line-blocks another.
+// open many sessions (sequentially or from separate goroutines) and
+// holds one connection for its lifetime: a session that commits parks
+// its connection on the Client, and the next session sends its hello
+// on that connection instead of dialing. Sessions open at the same
+// time each take their own connection, so a stalled session never
+// head-of-line-blocks another; the Client keeps only one of them when
+// they commit. No goroutine runs on a parked connection. Close closes
+// it.
 type Client struct {
 	opts ClientOptions
 
 	// Dial replaces the network dialer (test seam: wrap the conn in
 	// WrapFaultConn, or return one end of net.Pipe).
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
+
+	mu     sync.Mutex
+	idle   *clientConn // the connection a committed session parked; nil if none
+	closed bool
 
 	mChunks, mBytes, mRetries, mReconnects, mHeartbeats *telemetry.Counter
 	gInflight                                           *telemetry.Gauge
@@ -46,6 +55,45 @@ func NewClient(opts ClientOptions, reg *telemetry.Registry) (*Client, error) {
 		mHeartbeats: reg.Counter("rrnet.client.heartbeats"),
 		gInflight:   reg.Gauge("rrnet.client.inflight"),
 	}, nil
+}
+
+// park keeps the connection of a session that committed for the
+// next session's hello. The Client keeps one: when another is already
+// parked, or the Client is closed, cc closes instead.
+func (c *Client) park(cc *clientConn) {
+	c.mu.Lock()
+	keep := !c.closed && c.idle == nil
+	if keep {
+		c.idle = cc
+	}
+	c.mu.Unlock()
+	if !keep {
+		cc.shutdown()
+	}
+}
+
+// unpark takes the parked connection; nil when there is none. It may
+// have died since: the handshake on it then fails at once.
+func (c *Client) unpark() *clientConn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cc := c.idle
+	c.idle = nil
+	return cc
+}
+
+// Close closes the parked connection. A session still open keeps its
+// connection, and closes it at the end instead of parking it. The
+// Client can still open sessions; they dial and never park.
+func (c *Client) Close() {
+	c.mu.Lock()
+	c.closed = true
+	cc := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	if cc != nil {
+		cc.shutdown()
+	}
 }
 
 // Typed session-failure errors.
@@ -183,13 +231,40 @@ func (sw *SessionWriter) ensureConn() error {
 	return nil
 }
 
-// connectOnce dials, performs the preamble + hello handshake, adopts
-// the server's contig (the resume point), and starts the ack reader.
+// connectOnce opens the session on a connection: the one the Client
+// has parked, else a fresh dial. A parked connection that is dead or
+// fails its handshake costs nothing: the same attempt dials fresh. A
+// refusal is final on either.
 func (sw *SessionWriter) connectOnce() error {
+	if cc := sw.c.unpark(); cc != nil {
+		err := sw.handshake(cc.nc, cc.fr)
+		if err == nil || errors.Is(err, ErrRejected) {
+			return err
+		}
+	}
 	nc, err := sw.c.Dial(sw.opts.Addr, sw.opts.DialTimeout)
 	if err != nil {
 		return err
 	}
+	if err := setWriteDeadline(nc, sw.opts.FrameTimeout); err != nil {
+		closeConn(nc)
+		return err
+	}
+	if err := writePreamble(nc); err != nil {
+		closeConn(nc)
+		return err
+	}
+	return sw.handshake(nc, frame.NewReader(nc, MaxWirePayload, 1<<20))
+}
+
+// handshake sends the hello on nc and reads the hello-ack on the
+// calling goroutine; it is the one handshake for fresh and parked
+// connections. A frame that comes before the hello-ack predates this
+// session's hello (the connection's previous session left it unread),
+// so it is dropped and counts for nothing. On success it adopts the
+// server's contig (the resume point) and starts the session's reader;
+// on failure it closes nc.
+func (sw *SessionWriter) handshake(nc net.Conn, fr *frame.Reader) error {
 	fail := func(err error) error {
 		closeConn(nc)
 		return err
@@ -197,15 +272,14 @@ func (sw *SessionWriter) connectOnce() error {
 	if err := setDeadline(nc, sw.opts.FrameTimeout); err != nil {
 		return fail(err)
 	}
-	if err := writePreamble(nc); err != nil {
-		return fail(err)
-	}
 	hello := helloMsg{Proto: ProtoVersion, Session: sw.id, Resume: sw.contig > 0 || sw.nextSeq > 0, Tenant: sw.opts.Tenant}
 	if err := writeFrame(nc, MsgHello, encodeHello(hello)); err != nil {
 		return fail(err)
 	}
-	fr := frame.NewReader(nc, MaxWirePayload, 1<<20)
 	tp, payload, err := fr.Next()
+	for err == nil && (MsgType(tp) == MsgAck || MsgType(tp) == MsgCommitAck || MsgType(tp) == MsgHeartbeatAck) {
+		tp, payload, err = fr.Next()
+	}
 	if err != nil {
 		return fail(err)
 	}
@@ -518,6 +592,12 @@ func (sw *SessionWriter) Close() error {
 			sw.failed = fmt.Errorf("%w: %s", ErrRejected, ack.Reason)
 			return sw.failed
 		}
+		// The verdict came back on this connection, and the reader
+		// stops after it: leave the connection to the Client's next
+		// session.
+		<-sw.conn.done
+		sw.c.park(sw.conn)
+		sw.conn = nil
 		return nil
 	}
 }
@@ -550,9 +630,14 @@ func (sw *SessionWriter) cleanup() {
 }
 
 // clientConn pairs the connection with a reader goroutine that folds
-// server frames into shared state the writer polls.
+// server frames into shared state the writer polls. The reader serves
+// one session: it stops when the connection fails, or right after the
+// session's commit-ack, the last frame the server sends before the
+// next hello, so a parked connection has no reader.
 type clientConn struct {
-	nc net.Conn
+	nc   net.Conn
+	fr   *frame.Reader
+	done chan struct{} // closed when the reader returns
 
 	mu        sync.Mutex
 	contig    uint64
@@ -563,14 +648,15 @@ type clientConn struct {
 }
 
 func newClientConn(nc net.Conn, fr *frame.Reader) *clientConn {
-	cc := &clientConn{nc: nc, sig: make(chan struct{}, 1)}
-	go cc.readLoop(fr) //rrlint:allow goroleak -- exits when the conn closes: every read on a closed conn errors out
+	cc := &clientConn{nc: nc, fr: fr, done: make(chan struct{}), sig: make(chan struct{}, 1)}
+	go cc.readLoop()
 	return cc
 }
 
-func (cc *clientConn) readLoop(fr *frame.Reader) {
+func (cc *clientConn) readLoop() {
+	defer close(cc.done)
 	for {
-		t, payload, err := fr.Next()
+		t, payload, err := cc.fr.Next()
 		if err != nil {
 			cc.mu.Lock()
 			cc.dead = true
@@ -597,6 +683,7 @@ func (cc *clientConn) readLoop(fr *frame.Reader) {
 				cc.commitAck = &m
 				cc.mu.Unlock()
 				cc.wake()
+				return
 			}
 		case MsgHeartbeatAck:
 			// Liveness only; deliberately does not count as ack

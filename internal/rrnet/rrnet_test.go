@@ -53,7 +53,13 @@ func fastServer(journal string) ServerOptions {
 // the background; returns the server and its dial address.
 func startServer(t *testing.T, opts ServerOptions) (*Server, string) {
 	t.Helper()
-	s, err := NewServer(opts, nil)
+	return startServerReg(t, opts, nil)
+}
+
+// startServerReg is startServer with the server's metrics in reg.
+func startServerReg(t *testing.T, opts ServerOptions, reg *telemetry.Registry) (*Server, string) {
+	t.Helper()
+	s, err := NewServer(opts, reg)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -223,51 +229,99 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestConcurrentSessions multiplexes two tenants into one journal.
+// TestConcurrentSessions multiplexes two sessions of one Client into
+// one journal. Sessions open at the same time each get their own
+// connection: in the first round both dial, and when they commit the
+// Client parks one connection and closes the other; in the second
+// round one session takes the parked connection and the other dials,
+// so the server sees three in all.
 func TestConcurrentSessions(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "j.rrjl")
-	s, addr := startServer(t, fastServer(jpath))
+	reg := telemetry.NewRegistry(1)
+	s, addr := startServerReg(t, fastServer(jpath), reg)
 
+	c, err := NewClient(fastClient(addr), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var dialedMu sync.Mutex
+	var dialed []*closeSpy
+	c.Dial = func(a string, d time.Duration) (net.Conn, error) {
+		nc, err := net.DialTimeout("tcp", a, d)
+		if err != nil {
+			return nil, err
+		}
+		spy := &closeSpy{Conn: nc}
+		dialedMu.Lock()
+		dialed = append(dialed, spy)
+		dialedMu.Unlock()
+		return spy, nil
+	}
 	payloads := map[uint64][]byte{
 		201: testPayload(16<<10, 11),
 		202: testPayload(24<<10, 22),
+		203: testPayload(12<<10, 33),
+		204: testPayload(20<<10, 44),
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, len(payloads))
-	for id, payload := range payloads {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := NewClient(fastClient(addr), nil)
-			if err != nil {
-				errs <- err
-				return
-			}
-			sw, err := c.OpenSession(id)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for off := 0; off < len(payload); off += 900 {
-				end := min(off+900, len(payload))
-				if _, err := sw.Write(payload[off:end]); err != nil {
+	for _, round := range [][]uint64{{201, 202}, {203, 204}} {
+		var wg, opened sync.WaitGroup
+		opened.Add(len(round))
+		conns := make([]net.Conn, len(round))
+		errs := make(chan error, len(round))
+		for i, id := range round {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sw, err := c.OpenSession(id)
+				if err == nil {
+					conns[i] = sw.conn.nc
+				}
+				// Neither session commits, and so parks its connection,
+				// before both have opened.
+				opened.Done()
+				opened.Wait()
+				if err != nil {
 					errs <- err
 					return
 				}
+				payload := payloads[id]
+				for off := 0; off < len(payload); off += 900 {
+					end := min(off+900, len(payload))
+					if _, err := sw.Write(payload[off:end]); err != nil {
+						errs <- err
+						return
+					}
+				}
+				if err := sw.Close(); err != nil {
+					errs <- err
+					return
+				}
+				if res := sw.Result(); res.Status != StatusOK {
+					errs <- fmt.Errorf("session %d: status %d (%s)", id, res.Status, res.Reason)
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if conns[0] == conns[1] {
+			t.Fatalf("sessions %v shared one connection", round)
+		}
+		parked := parkedConn(c)
+		if parked == nil {
+			t.Fatalf("after sessions %v the client parks no connection", round)
+		}
+		for i, spy := range dialed {
+			if open := net.Conn(spy) == parked.nc; spy.closed.Load() == open {
+				t.Fatalf("after sessions %v connection %d: closed %v, parked %v; want every connection but the parked one closed", round, i, spy.closed.Load(), open)
 			}
-			if err := sw.Close(); err != nil {
-				errs <- err
-				return
-			}
-			if res := sw.Result(); res.Status != StatusOK {
-				errs <- fmt.Errorf("session %d: status %d (%s)", id, res.Status, res.Reason)
-			}
-		}()
+		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	if n := reg.Counter("rrnet.server.conns").Value(); n != 3 {
+		t.Fatalf("two rounds of two concurrent sessions used %d connections, want 3", n)
 	}
 	if err := s.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -474,53 +528,25 @@ func TestServerClassifiesDegradedCommit(t *testing.T) {
 			defer shutdownQuiet(s)
 			id := uint64(700 + i)
 
-			nc, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer closeConn(nc)
-			if err := nc.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-				t.Fatal(err)
-			}
-			fr := frame.NewReader(nc, MaxWirePayload, 1<<20)
-			send := func(mt MsgType, payload []byte) {
-				t.Helper()
-				if err := writeFrame(nc, mt, payload); err != nil {
-					t.Fatalf("write %s: %v", mt, err)
-				}
-			}
-			recv := func(want MsgType) []byte {
-				t.Helper()
-				tp, payload, err := fr.Next()
-				if err != nil || MsgType(tp) != want {
-					t.Fatalf("read: got %s (%v), want %s", MsgType(tp), err, want)
-				}
-				return payload
-			}
-
-			if err := writePreamble(nc); err != nil {
-				t.Fatal(err)
-			}
-			send(MsgHello, encodeHello(helloMsg{Proto: ProtoVersion, Session: id, Tenant: "raw"}))
-			if ack, ok := decodeHelloAck(recv(MsgHelloAck)); !ok || ack.Status != StatusOK {
+			r := dialRaw(t, addr)
+			defer closeConn(r.nc)
+			r.send(MsgHello, encodeHello(helloMsg{Proto: ProtoVersion, Session: id, Tenant: "raw"}))
+			if ack, ok := decodeHelloAck(r.recv(MsgHelloAck)); !ok || ack.Status != StatusOK {
 				t.Fatalf("hello-ack = %+v, %v", ack, ok)
 			}
-			send(MsgChunk, encodeChunk(chunkMsg{Session: id, Seq: 0, Data: chunk}))
-			if ack, ok := decodeAck(recv(MsgAck)); !ok || ack.Contig != 1 {
+			r.send(MsgChunk, encodeChunk(chunkMsg{Session: id, Seq: 0, Data: chunk}))
+			if ack, ok := decodeAck(r.recv(MsgAck)); !ok || ack.Contig != 1 {
 				t.Fatalf("chunk ack = %+v, %v", ack, ok)
 			}
 			commit := tc.commit
 			commit.Session = id
-			send(MsgCommit, encodeCommit(commit))
-			ack, ok := decodeCommitAck(recv(MsgCommitAck))
+			r.send(MsgCommit, encodeCommit(commit))
+			ack, ok := decodeCommitAck(r.recv(MsgCommitAck))
 			if !ok || ack.Status != StatusDegraded || ack.Missing != 2 {
 				t.Fatalf("commit-ack = %+v, %v; want degraded with 2 missing", ack, ok)
 			}
 
-			// Close the raw connection first, or Shutdown's drain waits
-			// out DrainTimeout for it.
-			closeConn(nc)
-			if err := s.Shutdown(); err != nil {
+			if err := s.Shutdown(); err != nil { // closes the idle connection at once
 				t.Fatal(err)
 			}
 			v, err := ReadJournal(jpath)
@@ -1008,4 +1034,542 @@ func TestIdleFlushBreaksDurabilityDeadlock(t *testing.T) {
 	if d := time.Since(start); d > 10*time.Second {
 		t.Errorf("stream took %v; durability stalls should resolve at heartbeat cadence", d)
 	}
+}
+
+// commitSession streams payload as session id on c and requires an
+// identical commit with no retries.
+func commitSession(t *testing.T, c *Client, id uint64, payload []byte) {
+	t.Helper()
+	sw, err := c.OpenSession(id)
+	if err != nil {
+		t.Fatalf("session %d: open: %v", id, err)
+	}
+	streamAll(t, sw, payload)
+	if err := sw.Close(); err != nil {
+		t.Fatalf("session %d: Close: %v", id, err)
+	}
+	if res := sw.Result(); res.Status != StatusOK || res.Retries != 0 {
+		t.Fatalf("session %d: status %d (%s), %d retries; want OK with none", id, res.Status, res.Reason, res.Retries)
+	}
+}
+
+// trackedConns reports how many connections s is serving.
+func trackedConns(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+// parkedConn returns the connection c holds between sessions, or nil.
+func parkedConn(c *Client) *clientConn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.idle
+}
+
+// closeSpy records whether the client closed its end.
+type closeSpy struct {
+	net.Conn
+	closed atomic.Bool
+}
+
+func (s *closeSpy) Close() error {
+	s.closed.Store(true)
+	return s.Conn.Close()
+}
+
+// TestReuseOneConnection: sequential sessions of one Client run over
+// one connection, and each lands byte-identical in the journal.
+func TestReuseOneConnection(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "j.rrjl")
+	reg := telemetry.NewRegistry(1)
+	s, addr := startServerReg(t, fastServer(jpath), reg)
+	c, err := NewClient(fastClient(addr), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payloads := map[uint64][]byte{}
+	for id := uint64(1); id <= 5; id++ {
+		payloads[id] = testPayload(int(3<<10*id), id)
+		commitSession(t, c, id, payloads[id])
+		if parkedConn(c) == nil {
+			t.Fatalf("after session %d the client parks no connection", id)
+		}
+	}
+	if n := reg.Counter("rrnet.server.conns").Value(); n != 1 {
+		t.Fatalf("5 sequential sessions used %d connections, want 1", n)
+	}
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	v, err := ReadJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, payload := range payloads {
+		if sess := v.Sessions[id]; sess == nil || !bytes.Equal(sess.Data, payload) || sess.Verify() != nil {
+			t.Fatalf("session %d not journaled intact", id)
+		}
+	}
+}
+
+// TestReuseRedialAfterServerClose: when the server has closed the
+// parked connection, or the next hello cannot be sent on it, the next
+// session dials fresh within its first attempt: no retry, no
+// reconnect. The dead parked connection is closed on the client's
+// side too.
+func TestReuseRedialAfterServerClose(t *testing.T) {
+	t.Run("restart", func(t *testing.T) {
+		jpath := filepath.Join(t.TempDir(), "j.rrjl")
+		s1, addr1 := startServer(t, fastServer(jpath))
+		var addr atomic.Pointer[string]
+		addr.Store(&addr1)
+		c, err := NewClient(fastClient(addr1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.Dial = func(_ string, d time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", *addr.Load(), d)
+		}
+		commitSession(t, c, 1, testPayload(4<<10, 1))
+		if err := s1.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry(1)
+		s2, addr2 := startServerReg(t, fastServer(jpath), reg)
+		defer shutdownQuiet(s2)
+		addr.Store(&addr2)
+		commitSession(t, c, 2, testPayload(4<<10, 2))
+		if n := reg.Counter("rrnet.server.conns").Value(); n != 1 {
+			t.Fatalf("restarted server accepted %d connections, want 1", n)
+		}
+	})
+	t.Run("frame-timeout", func(t *testing.T) {
+		sopts := fastServer(filepath.Join(t.TempDir(), "j.rrjl"))
+		sopts.FrameTimeout = 200 * time.Millisecond
+		reg := telemetry.NewRegistry(1)
+		s, addr := startServerReg(t, sopts, reg)
+		defer shutdownQuiet(s)
+		c, err := NewClient(fastClient(addr), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var first *closeSpy
+		base := c.Dial
+		c.Dial = func(a string, d time.Duration) (net.Conn, error) {
+			nc, err := base(a, d)
+			if err != nil || first != nil {
+				return nc, err
+			}
+			first = &closeSpy{Conn: nc}
+			return first, nil
+		}
+		commitSession(t, c, 1, testPayload(4<<10, 1))
+		if parkedConn(c) == nil {
+			t.Fatal("client parks no connection")
+		}
+		for deadline := time.Now().Add(5 * time.Second); trackedConns(s) > 0; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("server kept an idle connection past its FrameTimeout")
+			}
+		}
+		commitSession(t, c, 2, testPayload(4<<10, 2))
+		if !first.closed.Load() {
+			t.Fatal("the parked connection the server closed is still open on the client's side")
+		}
+		if n := reg.Counter("rrnet.server.conns").Value(); n != 2 {
+			t.Fatalf("server accepted %d connections, want 2", n)
+		}
+	})
+	t.Run("hello-write-fails", func(t *testing.T) {
+		reg := telemetry.NewRegistry(1)
+		s, addr := startServerReg(t, fastServer(filepath.Join(t.TempDir(), "j.rrjl")), reg)
+		defer shutdownQuiet(s)
+		creg := telemetry.NewRegistry(1)
+		c, err := NewClient(fastClient(addr), creg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var first *breakableConn
+		base := c.Dial
+		c.Dial = func(a string, d time.Duration) (net.Conn, error) {
+			nc, err := base(a, d)
+			if err != nil || first != nil {
+				return nc, err
+			}
+			first = &breakableConn{Conn: nc}
+			return first, nil
+		}
+		commitSession(t, c, 1, testPayload(4<<10, 1))
+		first.broken.Store(true) // the parked connection's next write fails
+		commitSession(t, c, 2, testPayload(4<<10, 2))
+		if n := reg.Counter("rrnet.server.conns").Value(); n != 2 {
+			t.Fatalf("server accepted %d connections, want 2", n)
+		}
+		for _, name := range []string{"rrnet.client.retries", "rrnet.client.reconnects"} {
+			if n := creg.Counter(name).Value(); n != 0 {
+				t.Errorf("%s = %d, want 0", name, n)
+			}
+		}
+	})
+}
+
+// breakableConn fails every Write once broken is set.
+type breakableConn struct {
+	net.Conn
+	broken atomic.Bool
+}
+
+func (b *breakableConn) Write(p []byte) (int, error) {
+	if b.broken.Load() {
+		return 0, errors.New("broken for test")
+	}
+	return b.Conn.Write(p)
+}
+
+// TestReuseShutdownClosesParked: a parked connection is idle, so
+// Shutdown closes it at once instead of waiting DrainTimeout for a
+// client that may not send again.
+func TestReuseShutdownClosesParked(t *testing.T) {
+	sopts := fastServer(filepath.Join(t.TempDir(), "j.rrjl"))
+	sopts.DrainTimeout = 5 * time.Second
+	s, addr := startServer(t, sopts)
+	c, err := NewClient(fastClient(addr), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	commitSession(t, c, 1, testPayload(4<<10, 1))
+	if parkedConn(c) == nil {
+		t.Fatal("client parks no connection")
+	}
+	start := time.Now()
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Shutdown took %v with a connection parked; it waited for the idle connection", d)
+	}
+}
+
+// TestReuseRejectedHelloNotParked: a hello refused on a parked
+// connection ends the session with ErrRejected, without a fresh dial,
+// and the refused connection is not parked again.
+func TestReuseRejectedHelloNotParked(t *testing.T) {
+	sopts := fastServer(filepath.Join(t.TempDir(), "j.rrjl"))
+	sopts.MaxSessions = 1
+	reg := telemetry.NewRegistry(1)
+	s, addr := startServerReg(t, sopts, reg)
+	defer shutdownQuiet(s)
+	c, err := NewClient(fastClient(addr), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	commitSession(t, c, 1, testPayload(4<<10, 1))
+
+	other, err := NewClient(fastClient(addr), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	holder, err := other.OpenSession(2) // takes the one session slot
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeQuiet(holder)
+
+	if _, err := c.OpenSession(3); !errors.Is(err, ErrRejected) {
+		t.Fatalf("hello over the session limit: want ErrRejected, got %v", err)
+	}
+	if parkedConn(c) != nil {
+		t.Fatal("client parks a connection after a refused hello")
+	}
+	if n := reg.Counter("rrnet.server.conns").Value(); n != 2 {
+		t.Fatalf("server accepted %d connections, want 2 (no redial after a refusal)", n)
+	}
+}
+
+// TestReuseAbortNeverParks: an aborted session closes its connection,
+// so the next session dials a new one.
+func TestReuseAbortNeverParks(t *testing.T) {
+	reg := telemetry.NewRegistry(1)
+	s, addr := startServerReg(t, fastServer(filepath.Join(t.TempDir(), "j.rrjl")), reg)
+	defer shutdownQuiet(s)
+	c, err := NewClient(fastClient(addr), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sw, err := c.OpenSession(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamAll(t, sw, testPayload(4<<10, 1))
+	sw.Abort()
+	if parkedConn(c) != nil {
+		t.Fatal("client parks a connection after Abort")
+	}
+	commitSession(t, c, 2, testPayload(4<<10, 2))
+	if n := reg.Counter("rrnet.server.conns").Value(); n != 2 {
+		t.Fatalf("server accepted %d connections, want 2", n)
+	}
+}
+
+// TestReuseClientCloseClosesParked: no reader goroutine runs on a
+// parked connection, and Client.Close closes it; a session opened
+// afterwards dials and does not park.
+func TestReuseClientCloseClosesParked(t *testing.T) {
+	reg := telemetry.NewRegistry(1)
+	s, addr := startServerReg(t, fastServer(filepath.Join(t.TempDir(), "j.rrjl")), reg)
+	defer shutdownQuiet(s)
+	c, err := NewClient(fastClient(addr), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *closeSpy
+	base := c.Dial
+	c.Dial = func(a string, d time.Duration) (net.Conn, error) {
+		nc, err := base(a, d)
+		if err != nil || first != nil {
+			return nc, err
+		}
+		first = &closeSpy{Conn: nc}
+		return first, nil
+	}
+	commitSession(t, c, 1, testPayload(4<<10, 1))
+	parked := parkedConn(c)
+	if parked == nil {
+		t.Fatal("client parks no connection")
+	}
+	select {
+	case <-parked.done:
+	default:
+		t.Fatal("a reader goroutine runs on the parked connection")
+	}
+	c.Close()
+	if !first.closed.Load() {
+		t.Fatal("Client.Close left the parked connection open")
+	}
+	commitSession(t, c, 2, testPayload(4<<10, 2))
+	if parkedConn(c) != nil {
+		t.Fatal("closed client parks a connection")
+	}
+	if n := reg.Counter("rrnet.server.conns").Value(); n != 2 {
+		t.Fatalf("server accepted %d connections, want 2", n)
+	}
+}
+
+// rawConn drives the wire by hand for server-side tests.
+type rawConn struct {
+	t  *testing.T
+	nc net.Conn
+	fr *frame.Reader
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nc.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := writePreamble(nc); err != nil {
+		t.Fatal(err)
+	}
+	return &rawConn{t: t, nc: nc, fr: frame.NewReader(nc, MaxWirePayload, 1<<20)}
+}
+
+func (r *rawConn) send(mt MsgType, payload []byte) {
+	r.t.Helper()
+	if err := writeFrame(r.nc, mt, payload); err != nil {
+		r.t.Fatalf("write %s: %v", mt, err)
+	}
+}
+
+func (r *rawConn) recv(want MsgType) []byte {
+	r.t.Helper()
+	tp, payload, err := r.fr.Next()
+	if err != nil || MsgType(tp) != want {
+		r.t.Fatalf("read: got %s (%v), want %s", MsgType(tp), err, want)
+	}
+	return payload
+}
+
+// TestServerSessionsInSequence: one connection carries session A from
+// hello to commit-ack, then session B; both journal identical.
+func TestServerSessionsInSequence(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "j.rrjl")
+	s, addr := startServer(t, fastServer(jpath))
+	defer shutdownQuiet(s)
+	r := dialRaw(t, addr)
+	defer closeConn(r.nc)
+	payloads := map[uint64][]byte{71: []byte("session A's one chunk"), 72: []byte("and session B's")}
+	for _, id := range []uint64{71, 72} {
+		data := payloads[id]
+		r.send(MsgHello, encodeHello(helloMsg{Proto: ProtoVersion, Session: id, Tenant: "raw"}))
+		if ack, ok := decodeHelloAck(r.recv(MsgHelloAck)); !ok || ack.Status != StatusOK || ack.Contig != 0 {
+			t.Fatalf("session %d: hello-ack = %+v, %v", id, ack, ok)
+		}
+		r.send(MsgChunk, encodeChunk(chunkMsg{Session: id, Seq: 0, Data: data}))
+		if ack, ok := decodeAck(r.recv(MsgAck)); !ok || ack.Session != id || ack.Contig != 1 {
+			t.Fatalf("session %d: chunk ack = %+v, %v", id, ack, ok)
+		}
+		r.send(MsgCommit, encodeCommit(commitMsg{Session: id, Chunks: 1, LogLen: uint64(len(data)),
+			LogCRC: crc32.Checksum(data, frame.Castagnoli)}))
+		if ack, ok := decodeCommitAck(r.recv(MsgCommitAck)); !ok || ack.Session != id || ack.Status != StatusOK {
+			t.Fatalf("session %d: commit-ack = %+v, %v", id, ack, ok)
+		}
+	}
+	if err := s.Shutdown(); err != nil { // closes the idle connection at once
+		t.Fatal(err)
+	}
+	v, err := ReadJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, data := range payloads {
+		sess := v.Sessions[id]
+		if sess == nil || !sess.Committed || sess.Status != StatusOK || !bytes.Equal(sess.Data, data) {
+			t.Fatalf("session %d journaled as %+v; want committed OK with its exact bytes", id, sess)
+		}
+	}
+}
+
+// TestReuseStaleFramesDropped: an ack and a commit-ack of session A
+// that arrive on the connection after session B's hello must count
+// for nothing: B's watermarks stay at the hello-ack's, and B's verdict
+// is the one its own commit earns. The scripted server sends the stale
+// frames between B's hello and its hello-ack, so B's handshake reads
+// past them on the parked connection.
+func TestReuseStaleFramesDropped(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const a, b = 81, 82
+	data := []byte("session B's one chunk")
+	served := make(chan error, 1)
+	go func() { served <- scriptedServer(ln, a, b, data) }()
+
+	c, err := NewClient(fastClient(ln.Addr().String()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sw, err := c.OpenSession(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Write([]byte("session A")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sw, err = c.OpenSession(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.drainAcks()
+	if sw.contig != 0 || sw.durable != 0 {
+		t.Fatalf("session %d: contig %d, durable %d after session %d's stale ack; want 0, 0", b, sw.contig, sw.durable, a)
+	}
+	if _, err := sw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res := sw.Result(); res.Status != StatusOK || res.Retries != 0 {
+		t.Fatalf("session %d: status %d (%s), %d retries; want OK, its own verdict", b, res.Status, res.Reason, res.Retries)
+	}
+	c.Close()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scriptedServer accepts one connection and serves session a, then
+// session b, on it; right after b's hello it sends an ack and a
+// degraded commit-ack carrying a's ID. It checks that b's commit
+// declares exactly data, and returns when the client closes.
+func scriptedServer(ln net.Listener, a, b uint64, data []byte) error {
+	nc, err := ln.Accept()
+	_ = ln.Close()
+	if err != nil {
+		return err
+	}
+	defer closeConn(nc)
+	if err := nc.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		return err
+	}
+	if err := readPreamble(nc); err != nil {
+		return err
+	}
+	fr := frame.NewReader(nc, MaxWirePayload, 1<<20)
+	next := func(want MsgType) ([]byte, error) {
+		for {
+			tp, payload, err := fr.Next()
+			if err != nil {
+				return nil, fmt.Errorf("waiting for %s: %w", want, err)
+			}
+			switch MsgType(tp) {
+			case want:
+				return payload, nil
+			case MsgHeartbeat:
+				continue
+			}
+			return nil, fmt.Errorf("got %s, want %s", MsgType(tp), want)
+		}
+	}
+	for _, id := range []uint64{a, b} {
+		if _, err := next(MsgHello); err != nil {
+			return err
+		}
+		if id == b {
+			if err := writeFrame(nc, MsgAck, encodeAck(ackMsg{Session: a, Contig: 9, Durable: 9})); err != nil {
+				return err
+			}
+			if err := writeFrame(nc, MsgCommitAck, encodeCommitAck(commitAckMsg{Session: a, Status: StatusDegraded, Missing: 3, Reason: "stale"})); err != nil {
+				return err
+			}
+		}
+		if err := writeFrame(nc, MsgHelloAck, encodeHelloAck(helloAckMsg{Status: StatusOK})); err != nil {
+			return err
+		}
+		payload, err := next(MsgChunk)
+		if err != nil {
+			return err
+		}
+		if m, ok := decodeChunk(payload); !ok || m.Session != id || m.Seq != 0 {
+			return fmt.Errorf("session %d: bad chunk %+v", id, m)
+		}
+		if err := writeFrame(nc, MsgAck, encodeAck(ackMsg{Session: id, Contig: 1, Durable: 1})); err != nil {
+			return err
+		}
+		if payload, err = next(MsgCommit); err != nil {
+			return err
+		}
+		m, ok := decodeCommit(payload)
+		if !ok || m.Session != id || m.Chunks != 1 {
+			return fmt.Errorf("session %d: bad commit %+v", id, m)
+		}
+		if id == b && (m.LogLen != uint64(len(data)) || m.LogCRC != crc32.Checksum(data, frame.Castagnoli)) {
+			return fmt.Errorf("session %d: commit declares %d bytes, crc %08x", id, m.LogLen, m.LogCRC)
+		}
+		if err := writeFrame(nc, MsgCommitAck, encodeCommitAck(commitAckMsg{Session: id, Status: StatusOK})); err != nil {
+			return err
+		}
+	}
+	if _, _, err := fr.Next(); err == nil {
+		return errors.New("frame after the last commit")
+	}
+	return nil
 }

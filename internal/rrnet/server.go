@@ -33,8 +33,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[uint64]*serverSession
-	active   int // uncommitted sessions (MaxSessions bound)
-	conns    map[net.Conn]struct{}
+	active   int               // uncommitted sessions (MaxSessions bound)
+	conns    map[net.Conn]bool // tracked connections: true while idle between sessions
 	draining bool
 	closed   bool
 
@@ -87,7 +87,7 @@ func NewServer(opts ServerOptions, reg *telemetry.Registry) (*Server, error) {
 		opts:     opts,
 		jr:       jr,
 		sessions: make(map[uint64]*serverSession),
-		conns:    make(map[net.Conn]struct{}),
+		conns:    make(map[net.Conn]bool),
 
 		mChunks:    reg.Counter("rrnet.server.chunks"),
 		mBytes:     reg.Counter("rrnet.server.bytes"),
@@ -201,7 +201,23 @@ func (s *Server) track(nc net.Conn) bool {
 	if s.draining || s.closed {
 		return false
 	}
-	s.conns[nc] = struct{}{}
+	s.conns[nc] = false
+	return true
+}
+
+// setIdle marks a tracked connection idle (its session committed, and
+// the client may park it for its next session) or busy again (a hello
+// arrived). It reports false when nc goes idle while the server
+// drains: the connection has nothing left to drain and should close.
+func (s *Server) setIdle(nc net.Conn, idle bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if idle && s.draining {
+		return false
+	}
+	if _, ok := s.conns[nc]; ok {
+		s.conns[nc] = idle
+	}
 	return true
 }
 
@@ -236,6 +252,7 @@ func (s *Server) ServeConn(nc net.Conn) {
 		}
 		switch MsgType(t) {
 		case MsgHello:
+			s.setIdle(nc, false)
 			m, ok := decodeHello(payload)
 			if !ok || m.Proto != ProtoVersion {
 				s.sendError(nc, 1, "malformed hello")
@@ -291,7 +308,7 @@ func (s *Server) ServeConn(nc net.Conn) {
 				s.sendError(nc, 3, "journal commit failed: "+err.Error())
 				return
 			}
-			if !s.writeMsg(nc, MsgCommitAck, encodeCommitAck(ack)) {
+			if !s.writeMsg(nc, MsgCommitAck, encodeCommitAck(ack)) || !s.setIdle(nc, true) {
 				return
 			}
 		case MsgHeartbeat:
@@ -636,9 +653,10 @@ func (s *Server) readDeadline(nc net.Conn) error {
 	return nc.SetReadDeadline(time.Now().Add(s.opts.FrameTimeout))
 }
 
-// Shutdown drains gracefully: stop accepting, give in-flight
-// connections DrainTimeout to finish, then cut them, barrier the
-// journal, and close it. Safe to call more than once.
+// Shutdown drains gracefully: stop accepting, close connections idle
+// between sessions, give in-flight ones DrainTimeout to finish, then
+// cut them, barrier the journal, and close it. Safe to call more than
+// once.
 func (s *Server) Shutdown() error {
 	s.mu.Lock()
 	if s.closed {
@@ -647,6 +665,13 @@ func (s *Server) Shutdown() error {
 	}
 	s.draining = true
 	ln := s.ln
+	// An idle connection has nothing to drain; its client parked it
+	// and may not send again for a long time.
+	for nc, idle := range s.conns {
+		if idle {
+			closeConn(nc)
+		}
+	}
 	s.mu.Unlock()
 	if ln != nil {
 		_ = ln.Close() // unblocks Accept; the error has no consumer

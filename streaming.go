@@ -18,7 +18,10 @@ import (
 	"relaxreplay/internal/telemetry"
 )
 
-// StreamClient dials rrproc and opens sessions.
+// StreamClient dials rrproc and opens sessions. It holds one
+// connection for its lifetime: a committed session parks its
+// connection, and the next session reuses it instead of dialing.
+// Call Close when done, to close the parked connection.
 type StreamClient = rrnet.Client
 
 // StreamClientOptions configures a StreamClient (address, chunking,
