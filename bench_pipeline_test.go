@@ -8,8 +8,9 @@ import (
 
 // Pipeline benchmarks: one per stage of the record → encode → decode →
 // replay pipeline, on a fixed small workload so they are cheap enough
-// for the CI bench smoke (they are the measurements behind
-// BENCH_5.json; `rrbench -benchjson` re-runs the same bodies).
+// for the CI bench smoke. The pipeline rows of the frozen BENCH_*.json
+// files were measured with the same bodies; run them with
+// `go test -run '^$' -bench Pipeline -benchmem .`.
 
 // benchPipelineRecording records the reference workload once, for the
 // stages that consume a recording.

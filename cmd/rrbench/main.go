@@ -49,12 +49,6 @@
 // -metrics writes the run's full metrics report (all simulator layers
 // plus the suite's own accounting); -trace writes a Chrome trace_event
 // timeline of the executed recordings; -pprof serves net/http/pprof.
-//
-// -benchjson PATH runs the record/encode/decode/replay pipeline
-// benchmarks (the bodies of bench_pipeline_test.go plus the synthetic
-// codec benchmarks) and writes the measurements as JSON — the
-// committed BENCH_*.json files; schema in EXPERIMENTS.md — then exits
-// without touching the figures.
 package main
 
 import (
@@ -66,7 +60,6 @@ import (
 	"strings"
 	"time"
 
-	"relaxreplay/internal/benchjson"
 	"relaxreplay/internal/coherence"
 	"relaxreplay/internal/experiments"
 	"relaxreplay/internal/faultinject"
@@ -92,26 +85,9 @@ func main() {
 	faults := flag.String("faults", "", "chaos mode: run the fault matrix with this point[,point...]@seed spec")
 	forensics := flag.String("forensics", "", "with -faults: write the chaos matrix's divergence forensics as JSON to this path")
 	netchaos := flag.Bool("netchaos", false, "with -faults: also run the streaming chaos grid (server behaviour x net.* fault)")
-	benchjsonPath := flag.String("benchjson", "", "run the pipeline benchmarks, write BENCH_*.json to this path, and exit")
 	var tf telemetry.Flags
 	tf.Register(nil)
 	flag.Parse()
-
-	if *benchjsonPath != "" {
-		f, err := os.Create(*benchjsonPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := benchjson.Write(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "rrbench: wrote %s\n", *benchjsonPath)
-		return
-	}
 
 	opts := experiments.DefaultOptions()
 	opts.Cores = *cores

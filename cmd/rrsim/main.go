@@ -12,8 +12,9 @@
 // -provenance captures the per-interval provenance sideband (why each
 // interval terminated, conflicting lines and remote cores, reorder
 // instants, queue occupancy). Capture never changes the interval log;
-// the sideband is persisted in the -o file and consumed by rrtrace's
-// stall/conflict attribution and rrreplay's divergence forensics.
+// the sideband is persisted in the -o file and consumed by rrlog's
+// termination and conflict attribution and rrreplay's divergence
+// forensics.
 //
 // -faults injects deterministic faults (see internal/faultinject):
 // interconnect and flush-crash points perturb the recording itself —
@@ -49,7 +50,7 @@ func main() {
 	model := flag.String("model", "rc", "consistency model of the cores: rc, tso or sc")
 	out := flag.String("o", "", "write the serialized log to this file")
 	verify := flag.Bool("verify", false, "replay the log and verify determinism")
-	prov := flag.Bool("provenance", false, "capture per-interval provenance (termination causes, conflicts, reorder instants); persisted in the -o log, consumed by rrtrace and forensics")
+	prov := flag.Bool("provenance", false, "capture per-interval provenance (termination causes, conflicts, reorder instants); persisted in the -o log, consumed by rrlog and forensics")
 	faults := flag.String("faults", "", "inject faults: point[,point...]@seed, or default@seed")
 	list := flag.Bool("list", false, "list available workloads and exit")
 	flag.Parse()

@@ -285,7 +285,7 @@ func (s *Suite) chaosCell(app, point string, inj *faultinject.Injector) (cell Ch
 		// is expected, not silent.
 		cell.Outcome = OutcomeDegraded
 		cell.Detail = chaosDetail(chaosDegradeDetail(rep, unplaced, rres))
-		cell.Forensics = replay.DivergenceReports(patched, rres.Degradations, replay.ForensicsOptions{})
+		cell.Forensics = replay.DivergenceReports(patched, rres.Degradations)
 		if len(cell.Forensics) == 0 {
 			// Degraded purely from log damage (dropped frames, unplaced
 			// stores): no per-core divergence exists, so attach the damage

@@ -8,7 +8,7 @@
 //
 // The stream is strictly observational: recording with or without a
 // Collector produces byte-identical interval logs. It exists so that
-// rrtrace can attribute stalls and conflicts after the fact and so
+// rrlog can attribute terminations and conflicts after the fact and so
 // that replay-divergence forensics can show the provenance of the
 // interval that diverged.
 //

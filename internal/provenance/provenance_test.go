@@ -111,7 +111,7 @@ func TestCauseJSON(t *testing.T) {
 	}
 }
 
-// TestCauseStrings covers the display names rrtrace prints.
+// TestCauseStrings covers the display names rrlog prints.
 func TestCauseStrings(t *testing.T) {
 	cases := map[Cause]string{
 		CauseUnknown: "unknown", CauseConflict: "conflict",

@@ -45,7 +45,6 @@ type ContextInterval struct {
 	Instructions uint64 `json:"instructions"`
 	Entries      int    `json:"entries"`
 	Reordered    int    `json:"reordered"` // reordered/patched/dummy entries
-	ViaIndex     bool   `json:"via_index,omitempty"`
 }
 
 // DivergenceReport is the structured forensic record of one replay
@@ -73,30 +72,15 @@ func (r *DivergenceReport) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// ForensicsOptions configures report assembly.
-type ForensicsOptions struct {
-	// Window is the number of preceding intervals to include per core;
-	// 0 means DefaultForensicsWindow.
-	Window int
-	// Index, when non-nil, resolves the diverged core's window with
-	// O(log n) per-interval seeks instead of the in-memory stream —
-	// the path rrreplay uses against large v3 files.
-	Index *replaylog.IndexedLog
-}
-
-// DefaultForensicsWindow is the per-core context depth when
-// ForensicsOptions.Window is zero.
+// DefaultForensicsWindow is the number of preceding intervals per
+// core in a report's context window.
 const DefaultForensicsWindow = 4
 
 // BuildDivergenceReport assembles the forensic record for a divergence
 // at (core, interval, seq) in l (the log replay ran on — patched or
 // not; provenance rides through patching). interval < 0 means the
 // end-of-log case. cause is the divergence cause error.
-func BuildDivergenceReport(l *replaylog.Log, core, interval int, seq uint64, cause error, o ForensicsOptions) *DivergenceReport {
-	window := o.Window
-	if window <= 0 {
-		window = DefaultForensicsWindow
-	}
+func BuildDivergenceReport(l *replaylog.Log, core, interval int, seq uint64, cause error) *DivergenceReport {
 	r := &DivergenceReport{Core: core, Interval: interval, Seq: seq, EndOfLog: interval < 0}
 	if cause != nil {
 		r.Cause = cause.Error()
@@ -112,16 +96,16 @@ func BuildDivergenceReport(l *replaylog.Log, core, interval int, seq uint64, cau
 	if interval >= 0 {
 		r.Provenance = findProvenance(l.Provenance, core, seq)
 	}
-	r.Context = contextWindow(l, core, interval, seq, window, o.Index)
+	r.Context = contextWindow(l, core, interval)
 	return r
 }
 
 // DivergenceReports builds one report per degradation of a partial
 // replay, in degradation order.
-func DivergenceReports(l *replaylog.Log, degs []Degradation, o ForensicsOptions) []*DivergenceReport {
+func DivergenceReports(l *replaylog.Log, degs []Degradation) []*DivergenceReport {
 	var out []*DivergenceReport
 	for _, d := range degs {
-		out = append(out, BuildDivergenceReport(l, d.Core, d.Interval, d.Seq, d.Cause, o))
+		out = append(out, BuildDivergenceReport(l, d.Core, d.Interval, d.Seq, d.Cause))
 	}
 	return out
 }
@@ -151,12 +135,9 @@ func findProvenance(prov []provenance.CoreProvenance, core int, seq uint64) *pro
 	return nil
 }
 
-// contextWindow collects up to `window` intervals per core preceding
-// the divergence point, in recorded total order. The diverged core's
-// window is resolved through the segment index when one is supplied
-// (only the covering group frames are read); every other core comes
-// from the in-memory log.
-func contextWindow(l *replaylog.Log, core, interval int, seq uint64, window int, ix *replaylog.IndexedLog) []ContextInterval {
+// contextWindow collects up to DefaultForensicsWindow intervals per
+// core preceding the divergence point, in recorded total order.
+func contextWindow(l *replaylog.Log, core, interval int) []ContextInterval {
 	var out []ContextInterval
 
 	// The cut point: intervals strictly before the diverged one in the
@@ -182,13 +163,10 @@ func contextWindow(l *replaylog.Log, core, interval int, seq uint64, window int,
 
 	for si := range l.Streams {
 		s := &l.Streams[si]
-		if s.Core == core && interval >= 0 && ix != nil {
-			out = append(out, indexedWindow(s.Core, seq, window, ix)...)
-			continue
-		}
-		// Last `window` intervals of this stream before the cut.
+		// Last DefaultForensicsWindow intervals of this stream before
+		// the cut.
 		var picked []int
-		for i := len(s.Intervals) - 1; i >= 0 && len(picked) < window; i-- {
+		for i := len(s.Intervals) - 1; i >= 0 && len(picked) < DefaultForensicsWindow; i-- {
 			if s.Core == core && i == interval {
 				continue
 			}
@@ -197,7 +175,7 @@ func contextWindow(l *replaylog.Log, core, interval int, seq uint64, window int,
 			}
 		}
 		for k := len(picked) - 1; k >= 0; k-- {
-			out = append(out, summarize(s.Core, &s.Intervals[picked[k]], false))
+			out = append(out, summarize(s.Core, &s.Intervals[picked[k]]))
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -212,24 +190,6 @@ func contextWindow(l *replaylog.Log, core, interval int, seq uint64, window int,
 	return out
 }
 
-// indexedWindow walks seq backwards through the segment index,
-// decoding one covering group frame per interval.
-func indexedWindow(core int, seq uint64, window int, ix *replaylog.IndexedLog) []ContextInterval {
-	var out []ContextInterval
-	for k := 1; k <= window && uint64(k) <= seq; k++ {
-		iv, err := ix.DecodeInterval(core, seq-uint64(k))
-		if err != nil {
-			break // a gap (lost group) ends the walk
-		}
-		out = append(out, summarize(core, iv, true))
-	}
-	// Walked newest-first; restore interval order.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
 func streamFor(l *replaylog.Log, core int) *replaylog.CoreLog {
 	for si := range l.Streams {
 		if l.Streams[si].Core == core {
@@ -239,14 +199,13 @@ func streamFor(l *replaylog.Log, core int) *replaylog.CoreLog {
 	return nil
 }
 
-func summarize(core int, iv *replaylog.Interval, viaIndex bool) ContextInterval {
+func summarize(core int, iv *replaylog.Interval) ContextInterval {
 	c := ContextInterval{
 		Core:         core,
 		Seq:          iv.Seq,
 		Timestamp:    iv.Timestamp,
 		Instructions: iv.Instructions(),
 		Entries:      len(iv.Entries),
-		ViaIndex:     viaIndex,
 	}
 	for _, e := range iv.Entries {
 		switch e.Type {

@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -63,7 +62,7 @@ func TestBuildDivergenceReportFromDegradation(t *testing.T) {
 	if len(res.Degradations) == 0 {
 		t.Fatal("no degradations")
 	}
-	reports := DivergenceReports(log, res.Degradations, ForensicsOptions{})
+	reports := DivergenceReports(log, res.Degradations)
 	if len(reports) != len(res.Degradations) {
 		t.Fatalf("%d reports for %d degradations", len(reports), len(res.Degradations))
 	}
@@ -106,7 +105,7 @@ func TestDivergenceReportEndOfLog(t *testing.T) {
 		t.Fatalf("degradations = %v", res.Degradations)
 	}
 	rep := BuildDivergenceReport(log, res.Degradations[0].Core, res.Degradations[0].Interval,
-		res.Degradations[0].Seq, res.Degradations[0].Cause, ForensicsOptions{})
+		res.Degradations[0].Seq, res.Degradations[0].Cause)
 	if !rep.EndOfLog || rep.Interval != -1 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -136,10 +135,10 @@ func contextLog() *replaylog.Log {
 
 func TestContextWindowOrderAndCut(t *testing.T) {
 	log := contextLog()
-	// Divergence at core 0 interval 2 (ts 50), window 2 per core: the
-	// context is everything strictly before ts 50, newest 2 per core,
-	// in replay total order.
-	rep := BuildDivergenceReport(log, 0, 2, 2, fmt.Errorf("boom"), ForensicsOptions{Window: 2})
+	// Divergence at core 0 interval 2 (ts 50): the context is
+	// everything strictly before ts 50, two intervals per core (fewer
+	// than the window of 4), in replay total order.
+	rep := BuildDivergenceReport(log, 0, 2, 2, fmt.Errorf("boom"))
 	want := []struct {
 		core int
 		seq  uint64
@@ -150,7 +149,7 @@ func TestContextWindowOrderAndCut(t *testing.T) {
 	}
 	for i, w := range want {
 		c := rep.Context[i]
-		if c.Core != w.core || c.Seq != w.seq || c.Timestamp != w.ts || c.ViaIndex {
+		if c.Core != w.core || c.Seq != w.seq || c.Timestamp != w.ts {
 			t.Fatalf("context[%d] = %+v, want %+v", i, c, w)
 		}
 		if c.Instructions == 0 || c.Entries == 0 {
@@ -161,47 +160,11 @@ func TestContextWindowOrderAndCut(t *testing.T) {
 
 func TestContextWindowDefaultDepth(t *testing.T) {
 	log := contextLog()
-	// Window 0 means DefaultForensicsWindow (4): the cut at ts 70 keeps
+	// The window is DefaultForensicsWindow (4): the cut at ts 70 keeps
 	// 3 core-0 intervals and all 3 core-1 intervals.
-	rep := BuildDivergenceReport(log, 0, 3, 3, nil, ForensicsOptions{})
+	rep := BuildDivergenceReport(log, 0, 3, 3, nil)
 	if len(rep.Context) != 6 {
 		t.Fatalf("context depth = %d, want 6: %+v", len(rep.Context), rep.Context)
-	}
-	for i := 1; i < len(rep.Context); i++ {
-		if rep.Context[i-1].Timestamp > rep.Context[i].Timestamp {
-			t.Fatalf("context out of order: %+v", rep.Context)
-		}
-	}
-}
-
-func TestContextWindowViaIndex(t *testing.T) {
-	log := contextLog()
-	log.Patched = false // v3 persists recorded (unpatched) logs
-	var buf bytes.Buffer
-	if err := replaylog.EncodeV3(&buf, log); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	ix, err := replaylog.OpenIndexed(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := BuildDivergenceReport(log, 0, 3, 3, nil, ForensicsOptions{Window: 2, Index: ix})
-	var viaIdx, inMem int
-	for _, c := range rep.Context {
-		if c.ViaIndex {
-			if c.Core != 0 {
-				t.Fatalf("indexed context for wrong core: %+v", c)
-			}
-			viaIdx++
-		} else {
-			inMem++
-		}
-	}
-	// Diverged core's window (seqs 1, 2) resolved through the index;
-	// the other core's from the in-memory stream.
-	if viaIdx != 2 || inMem != 2 {
-		t.Fatalf("viaIdx=%d inMem=%d: %+v", viaIdx, inMem, rep.Context)
 	}
 	for i := 1; i < len(rep.Context); i++ {
 		if rep.Context[i-1].Timestamp > rep.Context[i].Timestamp {
@@ -218,7 +181,7 @@ func TestDivergenceReportProvenance(t *testing.T) {
 			{Seq: 2, Cause: provenance.CauseConflict, ConflictLine: 0x80, RemoteCore: 1},
 		}},
 	}
-	rep := BuildDivergenceReport(log, 0, 2, 2, nil, ForensicsOptions{Window: 1})
+	rep := BuildDivergenceReport(log, 0, 2, 2, nil)
 	if rep.Provenance == nil {
 		t.Fatal("provenance not attached")
 	}
@@ -226,11 +189,11 @@ func TestDivergenceReportProvenance(t *testing.T) {
 		t.Fatalf("provenance = %+v", rep.Provenance)
 	}
 	// A seq with no sideband record resolves to nil, not a mismatch.
-	if rep := BuildDivergenceReport(log, 0, 1, 1, nil, ForensicsOptions{Window: 1}); rep.Provenance != nil {
+	if rep := BuildDivergenceReport(log, 0, 1, 1, nil); rep.Provenance != nil {
 		t.Fatalf("attached provenance for uncovered seq: %+v", rep.Provenance)
 	}
 	// End-of-log reports carry no interval provenance.
-	if rep := BuildDivergenceReport(log, 0, -1, 0, nil, ForensicsOptions{}); rep.Provenance != nil {
+	if rep := BuildDivergenceReport(log, 0, -1, 0, nil); rep.Provenance != nil {
 		t.Fatal("end-of-log report attached provenance")
 	}
 }

@@ -99,7 +99,9 @@ func (c *Client) Close() {
 // Typed session-failure errors.
 var (
 	// ErrRetriesExhausted reports a session abandoned after MaxRetries
-	// consecutive failures with no ack progress.
+	// consecutive failures with no ack progress. The error also wraps
+	// the last failure: the dial or handshake error, the error the
+	// connection died of, or errAckStall.
 	ErrRetriesExhausted = errors.New("rrnet: retries exhausted")
 	// ErrRejected reports a session the server refused: a hello or
 	// commit answered with StatusReject, whose reason the error
@@ -110,6 +112,10 @@ var (
 	ErrRejected = errors.New("rrnet: session rejected by server")
 	// ErrWriterClosed reports a Write after Close.
 	ErrWriterClosed = errors.New("rrnet: session writer is closed")
+
+	// errAckStall is the failure of a live connection that made no ack
+	// progress for AckStall.
+	errAckStall = errors.New("rrnet: no ack progress for AckStall")
 )
 
 // SessionResult summarizes a completed session.
@@ -148,7 +154,8 @@ type SessionWriter struct {
 	logCRC uint32 // CRC32C over every byte produced
 
 	conn       *clientConn
-	attempts   int // consecutive failures since last ack progress
+	attempts   int   // consecutive failures since last ack progress
+	lastErr    error // the latest failure; ErrRetriesExhausted wraps it
 	retries    int
 	lastSend   time.Time
 	flushReqAt uint64 // contig level a durability nudge was last sent at
@@ -208,12 +215,13 @@ func (sw *SessionWriter) backoff(attempt int) time.Duration {
 func (sw *SessionWriter) ensureConn() error {
 	for sw.conn == nil || sw.conn.isDead() {
 		if sw.conn != nil {
+			sw.lastErr = sw.conn.failure()
 			sw.dropConn()
 			sw.c.mReconnects.Inc(0)
 		}
 		if sw.attempts > sw.opts.MaxRetries {
-			return fmt.Errorf("%w: session %d gave up after %d attempts",
-				ErrRetriesExhausted, sw.id, sw.attempts)
+			return fmt.Errorf("%w: session %d gave up after %d attempts: %w",
+				ErrRetriesExhausted, sw.id, sw.attempts, sw.lastErr)
 		}
 		if sw.attempts > 0 {
 			sw.c.mRetries.Inc(0)
@@ -225,7 +233,7 @@ func (sw *SessionWriter) ensureConn() error {
 			if errors.Is(err, ErrRejected) {
 				return err
 			}
-			continue
+			sw.lastErr = err
 		}
 	}
 	return nil
@@ -509,6 +517,7 @@ func (sw *SessionWriter) waitDrain(done func() bool) error {
 			// re-delivers from the server's contig. Counts against
 			// the retry budget so a live-but-never-acking server
 			// still exhausts retries instead of looping forever.
+			sw.lastErr = sw.conn.failure()
 			sw.dropConn()
 			sw.c.mReconnects.Inc(0)
 			sw.attempts++
@@ -580,6 +589,7 @@ func (sw *SessionWriter) Close() error {
 		}
 		ack, ok := sw.conn.awaitCommitAck(sw.opts.AckStall)
 		if !ok {
+			sw.lastErr = sw.conn.failure()
 			sw.dropConn()
 			sw.attempts++ // commit round-trips must also exhaust eventually
 			continue
@@ -644,6 +654,7 @@ type clientConn struct {
 	durable   uint64
 	commitAck *commitAckMsg
 	dead      bool
+	cause     error // why the connection died; nil while it lives
 	sig       chan struct{}
 }
 
@@ -658,10 +669,7 @@ func (cc *clientConn) readLoop() {
 	for {
 		t, payload, err := cc.fr.Next()
 		if err != nil {
-			cc.mu.Lock()
-			cc.dead = true
-			cc.mu.Unlock()
-			cc.wake()
+			cc.markDead(err)
 			return
 		}
 		switch MsgType(t) {
@@ -690,10 +698,11 @@ func (cc *clientConn) readLoop() {
 			// progress (a server that heartbeats but never acks is
 			// still a stalled session).
 		case MsgError:
-			cc.mu.Lock()
-			cc.dead = true
-			cc.mu.Unlock()
-			cc.wake()
+			err := errors.New("rrnet: server error: unreadable error frame")
+			if em, ok := decodeError(payload); ok {
+				err = fmt.Errorf("rrnet: server error: %s", em.Message)
+			}
+			cc.markDead(err)
 			return
 		}
 	}
@@ -716,6 +725,18 @@ func (cc *clientConn) isDead() bool {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	return cc.dead
+}
+
+// failure reports why the connection died, or errAckStall while it
+// lives: the writer gives a live connection up only when its acks
+// stall.
+func (cc *clientConn) failure() error {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.cause == nil {
+		return errAckStall
+	}
+	return cc.cause
 }
 
 // await blocks until the reader signals progress or d elapses.
@@ -753,25 +774,30 @@ func (cc *clientConn) awaitCommitAck(d time.Duration) (commitAckMsg, bool) {
 // unsettable deadline means the fd is already gone).
 func (cc *clientConn) writeMsg(t MsgType, payload []byte, d time.Duration) error {
 	if err := setWriteDeadline(cc.nc, d); err != nil {
-		cc.markDead()
+		cc.markDead(err)
 		return err
 	}
 	if err := writeFrame(cc.nc, t, payload); err != nil {
-		cc.markDead()
+		cc.markDead(err)
 		return err
 	}
 	return nil
 }
 
-func (cc *clientConn) markDead() {
+// markDead records the connection's first failure and wakes the
+// writer.
+func (cc *clientConn) markDead(err error) {
 	cc.mu.Lock()
 	cc.dead = true
+	if cc.cause == nil {
+		cc.cause = err
+	}
 	cc.mu.Unlock()
 	cc.wake()
 }
 
 func (cc *clientConn) shutdown() {
-	cc.markDead()
+	cc.markDead(net.ErrClosed)
 	closeConn(cc.nc)
 }
 

@@ -604,6 +604,76 @@ func TestRetriesExhausted(t *testing.T) {
 	}
 }
 
+// TestRetriesExhaustedCarriesCause: the give-up error also wraps the
+// last attempt's failure, so the caller can say why the session gave
+// up.
+func TestRetriesExhaustedCarriesCause(t *testing.T) {
+	opts := fastClient("127.0.0.1:1")
+	opts.MaxRetries = 2
+	c, err := NewClient(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := errors.New("test: dial refused")
+	dials := 0
+	c.Dial = func(string, time.Duration) (net.Conn, error) {
+		dials++
+		return nil, refused
+	}
+	_, err = c.OpenSession(801)
+	if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, refused) {
+		t.Fatalf("want ErrRetriesExhausted wrapping the dial error, got %v", err)
+	}
+	if dials != opts.MaxRetries+1 {
+		t.Fatalf("dialed %d times, want %d", dials, opts.MaxRetries+1)
+	}
+}
+
+// TestRetriesExhaustedAfterAckStall: a server that takes the session
+// but never acks a chunk exhausts the retries, with errAckStall as the
+// cause.
+func TestRetriesExhaustedAfterAckStall(t *testing.T) {
+	opts := fastClient("pipe")
+	opts.MaxRetries = 1
+	opts.AckStall = 50 * time.Millisecond
+	c, err := NewClient(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Dial = func(string, time.Duration) (net.Conn, error) {
+		cli, srv := net.Pipe()
+		go func() {
+			defer closeConn(srv)
+			if readPreamble(srv) != nil {
+				return
+			}
+			fr := frame.NewReader(srv, MaxWirePayload, 1<<20)
+			if _, _, err := fr.Next(); err != nil { // the hello
+				return
+			}
+			if writeFrame(srv, MsgHelloAck, encodeHelloAck(helloAckMsg{Status: StatusOK})) != nil {
+				return
+			}
+			for { // swallow chunks and heartbeats until the client hangs up
+				if _, _, err := fr.Next(); err != nil {
+					return
+				}
+			}
+		}()
+		return cli, nil
+	}
+	sw, err := c.OpenSession(802)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Write([]byte("never acked")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, errAckStall) {
+		t.Fatalf("want ErrRetriesExhausted wrapping errAckStall, got %v", err)
+	}
+}
+
 // TestJournalTornTail tears the last record and proves recovery
 // salvages everything before the tear.
 func TestJournalTornTail(t *testing.T) {

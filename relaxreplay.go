@@ -185,7 +185,7 @@ type Config struct {
 	// the log. It observes only: the interval log is byte-identical with
 	// or without it, and nil costs nothing on the recording hot path.
 	// The sideband is persisted by WriteLog and read back by every
-	// decode path; rrtrace and divergence forensics consume it.
+	// decode path; rrlog and divergence forensics consume it.
 	Provenance *ProvenanceCollector
 }
 
@@ -483,7 +483,7 @@ func DivergenceForensics(log *Log, degs []Degradation) []*DivergenceReport {
 			patched = p
 		}
 	}
-	return replay.DivergenceReports(patched, degs, replay.ForensicsOptions{})
+	return replay.DivergenceReports(patched, degs)
 }
 
 // DamageForensics synthesizes a DivergenceReport for log damage with
